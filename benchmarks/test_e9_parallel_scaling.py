@@ -94,9 +94,10 @@ def test_e9_trace_query_fastpath(vuln_core):
     (``diff`` = signal+old+new, ``toggled`` = signal only, ``counts`` =
     signal only) — so the examination *count* bound vs the seed's shared
     single pass is strict rather than FASTPATH_FACTOR-fold on a small
-    single-window trace like this one.  The wall-clock multiplier of the
-    columnar passes is pinned by the bench gate (``BENCH_pr5.json``),
-    not by this operation count."""
+    single-window trace like this one.  Campaign-level examination
+    counts are pinned exactly by ``tests/test_perf.py``; wall-clock
+    effects are measured by same-machine ``perfbench`` runs, not by
+    this operation count."""
     program = all_triggers()["spectre_v1"]
     result = vuln_core.run(program)
     trace = result.trace

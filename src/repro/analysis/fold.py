@@ -2,8 +2,8 @@
 
 The static engines share one evaluator:
 
-* :func:`expr_width` — bit-width inference for the lint width checks,
-  mirroring the RTL simulator's width rules;
+* :func:`~repro.rtl.ast.expr_width` — the Verilog width rules, which
+  live in the RTL layer so the simulator uses the same copy;
 * :func:`refine` — partial evaluation of an expression under an
   environment of known-constant signals, returning the folded constant
   (or ``None``) plus the identifiers that still *contribute* to the
@@ -23,47 +23,6 @@ from __future__ import annotations
 from repro.rtl import ast
 
 _MASK64 = (1 << 64) - 1
-
-
-def expr_width(expr: ast.Expr, widths: dict[str, int]) -> int | None:
-    """Inferred bit width of an expression; ``None`` when unknowable."""
-    if isinstance(expr, ast.Identifier):
-        return widths.get(expr.name)
-    if isinstance(expr, ast.Number):
-        return expr.width
-    if isinstance(expr, ast.BitSelect):
-        return 1
-    if isinstance(expr, ast.PartSelect):
-        return expr.msb - expr.lsb + 1
-    if isinstance(expr, ast.Concat):
-        total = 0
-        for part in expr.parts:
-            width = expr_width(part, widths)
-            if width is None:
-                return None
-            total += width
-        return total
-    if isinstance(expr, ast.Ternary):
-        true_width = expr_width(expr.if_true, widths)
-        false_width = expr_width(expr.if_false, widths)
-        if true_width is None or false_width is None:
-            return None
-        return max(true_width, false_width)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op in ("!", "&", "|", "^"):
-            return 1
-        return expr_width(expr.operand, widths)  # ~ and unary -
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            return 1
-        if expr.op in ("<<", ">>"):
-            return expr_width(expr.left, widths)
-        left = expr_width(expr.left, widths)
-        right = expr_width(expr.right, widths)
-        if left is None or right is None:
-            return None
-        return max(left, right)
-    return None
 
 
 def _eval_unary(op: str, value: int, width: int | None) -> int:
@@ -142,7 +101,7 @@ def refine(
         if value is None:
             return None, ids
         return _eval_unary(expr.op, value,
-                           expr_width(expr.operand, widths)), ()
+                           ast.expr_width(expr.operand, widths)), ()
     if isinstance(expr, ast.BinaryOp):
         left, left_ids = refine(expr.left, env, widths)
         right, right_ids = refine(expr.right, env, widths)
@@ -194,7 +153,7 @@ def refine(
         ids: tuple[str, ...] = ()
         for part in expr.parts:
             value, part_ids = refine(part, env, widths)
-            values.append((value, expr_width(part, widths)))
+            values.append((value, ast.expr_width(part, widths)))
             ids += part_ids
         if all(v is not None and w is not None for v, w in values):
             total = 0

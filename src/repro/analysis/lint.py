@@ -29,7 +29,7 @@ from repro.analysis.diagnostics import (
     apply_waivers,
     parse_waivers,
 )
-from repro.analysis.fold import expr_width, refine
+from repro.analysis.fold import refine
 from repro.ifg.labeling import default_arch_matcher
 from repro.isa.spec import architectural_register_names
 from repro.rtl import ast
@@ -292,7 +292,7 @@ def _check_multi_driven(ctx: LintContext) -> None:
 def _check_width_mismatch(ctx: LintContext) -> None:
     for assign in ctx.design.assigns:
         target_width = ctx.widths.get(assign.target)
-        inferred = expr_width(assign.value, ctx.widths)
+        inferred = ast.expr_width(assign.value, ctx.widths)
         if target_width is None or inferred is None:
             continue
         if inferred != target_width:
@@ -310,7 +310,7 @@ def _check_width_mismatch(ctx: LintContext) -> None:
             if not isinstance(statement, ast.NonBlocking):
                 continue
             target_width = ctx.widths.get(statement.target)
-            inferred = expr_width(statement.value, ctx.widths)
+            inferred = ast.expr_width(statement.value, ctx.widths)
             if target_width is None or inferred is None:
                 continue
             if inferred != target_width:
@@ -445,7 +445,7 @@ def _check_unreachable(ctx: LintContext) -> None:
             if isinstance(other, ast.Number) and isinstance(
                     operand, ast.Number):
                 return  # constant == constant: folding's business
-            width = expr_width(operand, ctx.widths)
+            width = ast.expr_width(operand, ctx.widths)
             if width is None or other.value < (1 << width):
                 continue
             outcome = "false" if expr.op == "==" else "true"

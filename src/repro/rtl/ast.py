@@ -210,3 +210,49 @@ def _collect_identifiers(expr: Expr, out: list[str]) -> None:
         for part in expr.parts:
             _collect_identifiers(part, out)
     # Numbers contribute nothing.
+
+
+def expr_width(expr: Expr, widths: dict[str, int]) -> int | None:
+    """Inferred Verilog bit width of an expression; ``None`` when unknowable.
+
+    The one copy of the width rules: the simulator sizes ``~``, reductions
+    and concatenation parts with it, and the static analyzer's folder
+    and width lint use it, so both read a design the same way.
+    """
+    if isinstance(expr, Identifier):
+        return widths.get(expr.name)
+    if isinstance(expr, Number):
+        return expr.width
+    if isinstance(expr, BitSelect):
+        return 1
+    if isinstance(expr, PartSelect):
+        return expr.msb - expr.lsb + 1
+    if isinstance(expr, Concat):
+        total = 0
+        for part in expr.parts:
+            width = expr_width(part, widths)
+            if width is None:
+                return None
+            total += width
+        return total
+    if isinstance(expr, Ternary):
+        true_width = expr_width(expr.if_true, widths)
+        false_width = expr_width(expr.if_false, widths)
+        if true_width is None or false_width is None:
+            return None
+        return max(true_width, false_width)
+    if isinstance(expr, UnaryOp):
+        if expr.op in ("!", "&", "|", "^"):
+            return 1
+        return expr_width(expr.operand, widths)  # ~ and unary -
+    if isinstance(expr, BinaryOp):
+        if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
+            return 1
+        if expr.op in ("<<", ">>"):
+            return expr_width(expr.left, widths)
+        left = expr_width(expr.left, widths)
+        right = expr_width(expr.right, widths)
+        if left is None or right is None:
+            return None
+        return max(left, right)
+    return None

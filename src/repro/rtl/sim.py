@@ -156,16 +156,9 @@ class RtlSimulator:
         else:
             raise SimulationError(f"unsupported statement {type(statement).__name__}")
 
-    def _expr_width(self, expr: ast.Expr) -> int:
-        if isinstance(expr, ast.Identifier):
-            return self._widths[expr.name]
-        if isinstance(expr, ast.Number) and expr.width is not None:
-            return expr.width
-        if isinstance(expr, ast.BitSelect):
-            return 1
-        if isinstance(expr, ast.PartSelect):
-            return expr.msb - expr.lsb + 1
-        return 64
+    def _width(self, expr: ast.Expr) -> int:
+        """Verilog width of ``expr`` (64 when unsized)."""
+        return ast.expr_width(expr, self._widths) or 64
 
     def _eval(self, expr: ast.Expr) -> int:
         if isinstance(expr, ast.Identifier):
@@ -188,22 +181,21 @@ class RtlSimulator:
         if isinstance(expr, ast.Concat):
             value = 0
             for part in expr.parts:
-                width = self._expr_width(part)
+                width = self._width(part)
                 value = (value << width) | (self._eval(part) & mask(width))
             return value
         raise SimulationError(f"unsupported expression {type(expr).__name__}")
 
     def _eval_unary(self, expr: ast.UnaryOp) -> int:
         operand = self._eval(expr.operand)
-        width = self._expr_width(expr.operand)
         if expr.op == "~":
-            return ~operand & mask(width)
+            return ~operand & mask(self._width(expr.operand))
         if expr.op == "!":
             return 0 if operand else 1
         if expr.op == "-":
             return -operand & mask(64)
         if expr.op == "&":  # reduction AND
-            return 1 if operand == mask(width) else 0
+            return 1 if operand == mask(self._width(expr.operand)) else 0
         if expr.op == "|":
             return 1 if operand else 0
         if expr.op == "^":

@@ -280,7 +280,7 @@ def resolve_scenario(reference: str) -> ScenarioSpec:
 
     The one reference-resolution rule shared by every consumer that
     accepts "a scenario" on a command line (``python -m repro run``,
-    ``python -m repro bench``, :func:`repro.perf.bench.run_bench`).
+    ``python -m repro analyze``) or by name (:mod:`repro.perf`).
     """
     if reference.endswith((".toml", ".json")):
         return ScenarioSpec.load(reference)

@@ -155,6 +155,37 @@ class TestCombinational:
         assert (sim.value("all1"), sim.value("any1"), sim.value("par")) == (0, 1, 1)
 
 
+class TestWidthRules:
+    """The simulator and the static folder share one copy of the Verilog
+    width rules, so a compound operand is sized by what it contains."""
+
+    SOURCE = """
+    module m(input [1:0] a, input [1:0] b, output [7:0] cat, output inv);
+      assign cat = {a, {b, a}};
+      assign inv = (~(a & b)) == 2'b11;
+    endmodule
+    """
+    EXPECTED = {"m.cat": 25, "m.inv": 1}
+
+    def test_simulator_sizes_compound_operands(self):
+        sim = make_sim(self.SOURCE)
+        sim.step({"a": 1, "b": 2})
+        assert {name: sim.value(name) for name in self.EXPECTED} == \
+            self.EXPECTED
+
+    def test_folder_agrees_with_the_simulator(self):
+        from repro.analysis.fold import refine
+
+        design = elaborate(parse(self.SOURCE))
+        widths = {name: s.width for name, s in design.signals.items()}
+        folded = {
+            assign.target: refine(assign.value, {"m.a": 1, "m.b": 2},
+                                  widths)[0]
+            for assign in design.assigns
+        }
+        assert folded == self.EXPECTED
+
+
 class TestSequential:
     COUNTER = """
     module counter(input clk, input rst, output reg [7:0] count);
