@@ -20,7 +20,7 @@ import time
 
 from repro.fuzz.triggers import all_triggers
 from repro.harness.campaign import run_coverage_campaign
-from repro.harness.parallel import run_sharded_campaign
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.utils.text import ascii_table
 
 from benchmarks.conftest import emit
@@ -65,23 +65,17 @@ def test_e9_serial_vs_sharded_equivalence(benchmark, vuln_config):
 
 
 def test_e9_sharded_report_matches_serial_merge(vuln_config):
-    """The merged report of a 2-process sharded campaign is identical
-    (curves, detections, counters) to the same shards run inline."""
-    inline = run_sharded_campaign(
-        vuln_config, iterations_per_shard=8, shards=SHARDS, jobs=1,
-        base_seed=40, monitor_dcache=True,
-    )
-    procs = run_sharded_campaign(
-        vuln_config, iterations_per_shard=8, shards=SHARDS, jobs=JOBS,
-        base_seed=40, monitor_dcache=True,
-    )
+    """The merged report of a 2-process sharded campaign is identical,
+    byte for byte, to the same shards run inline."""
+    spec = ScenarioSpec(name="e9-sharded", seed=40, monitor_dcache=True,
+                        iterations=8, shards=SHARDS)
+    assert spec.build_config() == vuln_config
+    inline = run_scenario(spec, jobs=1, minimize=False).report
+    procs = run_scenario(spec, jobs=JOBS, minimize=False).report
     assert inline.fuzz.coverage_curve == procs.fuzz.coverage_curve
-    assert [(f.iteration, f.kind) for f in inline.fuzz.findings] == \
-        [(f.iteration, f.kind) for f in procs.fuzz.findings]
-    assert [r.kind for r in inline.reports] == [r.kind for r in procs.reports]
-    assert len(inline.mst) == len(procs.mst)
-    assert inline.stats.cycles == procs.stats.cycles
-    assert inline.stats.programs == procs.stats.programs == 2 * 8
+    assert inline.stats.programs == procs.stats.programs == SHARDS * 8
+    assert inline.render(mst_limit=None, include_timings=False) == \
+        procs.render(mst_limit=None, include_timings=False)
 
 
 def test_e9_trace_query_fastpath(vuln_core):

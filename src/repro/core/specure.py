@@ -19,11 +19,10 @@ seed corpus (the with/without-seeds detection-time numbers), and
 ``max_spec_window``; see :mod:`repro.contracts`), or ``"both"`` for
 cross-validation.
 
-The same knobs travel three ways: directly through this constructor,
-sharded across worker processes via :meth:`Specure.sharded_campaign`
-(:mod:`repro.harness.parallel`), and declaratively as
-:class:`~repro.scenarios.spec.ScenarioSpec` bundles that the scenario
-runner persists and resumes (:mod:`repro.scenarios`).
+The same knobs travel two ways: directly through this constructor,
+and declaratively as :class:`~repro.scenarios.spec.ScenarioSpec`
+bundles that the scenario runner shards across worker processes,
+persists and resumes (:mod:`repro.scenarios`).
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ class Specure:
         Both are pure functions of the configuration (the core's engine
         resets exactly between programs; the offline artifacts derive
         from the netlist alone), so a process that runs many campaigns
-        against one design — the persistent worker pool
+        against one design — a fleet worker
         (:mod:`repro.harness.parallel`) — builds them once and hands
         them to every Specure instead of re-elaborating the netlist and
         re-running the offline phase per campaign.  When ``core`` is
@@ -219,45 +218,6 @@ class Specure:
     ) -> CampaignReport:
         """Run one fuzzing campaign end to end."""
         return self.build_campaign().run(iterations, stop_when=stop_when)
-
-    def sharded_campaign(
-        self,
-        iterations_per_shard: int,
-        shards: int = 2,
-        jobs: int | None = None,
-        stop_kind: str | None = None,
-    ) -> CampaignReport:
-        """Run ``shards`` seeded campaigns (``jobs`` worker processes)
-        and merge their artifacts into one :class:`CampaignReport`.
-
-        Shard 0 uses ``self.seed`` itself and shard ``k >= 1`` a
-        hash-derived independent stream (see
-        :func:`repro.harness.parallel.shard_seed`); merging is
-        deterministic regardless of worker scheduling.  ``stop_kind``
-        ends each shard at its first finding of that vulnerability kind.
-        """
-        from repro.harness.parallel import run_sharded_campaign
-
-        return run_sharded_campaign(
-            self.config,
-            iterations_per_shard,
-            shards=shards,
-            jobs=jobs,
-            base_seed=self.seed,
-            coverage=self.coverage,
-            monitor_dcache=self.monitor_dcache,
-            use_special_seeds=self.use_special_seeds,
-            random_seed_count=self.random_seed_count,
-            splice_probability=self.splice_probability,
-            mutation_rounds=self.mutation_rounds,
-            detector=self.detector,
-            contract=self.contract,
-            inputs_per_class=self.inputs_per_class,
-            max_spec_window=self.max_spec_window,
-            instruction_categories=self.instruction_categories,
-            static_prune=self.static_prune,
-            stop_kind=stop_kind,
-        )
 
 
 def stop_on_kind(kind: str) -> Callable[[list[FuzzFinding]], bool]:

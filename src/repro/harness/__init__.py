@@ -13,8 +13,6 @@ from repro.harness.experiments import EXPERIMENTS, ExperimentSpec
 from repro.harness.parallel import (
     merge_campaign_results,
     merge_reports,
-    run_sharded_campaign,
-    run_sharded_timed_campaign,
     shard_seed,
 )
 from repro.harness.plotting import render_coverage_figure
@@ -28,8 +26,6 @@ __all__ = [
     "run_timed_campaign",
     "merge_campaign_results",
     "merge_reports",
-    "run_sharded_campaign",
-    "run_sharded_timed_campaign",
     "shard_seed",
     "EXPERIMENTS",
     "ExperimentSpec",

@@ -7,12 +7,12 @@ detection-time: iterations until a given vulnerability class is first
 reported), and *time-budgeted campaigns* (the paper's 24-hour runs,
 scaled to seconds).
 
-Every runner takes ``jobs``: with ``jobs >= 2`` the independent units
-of work (coverage repeats, detection kinds, timed shards) fan out
-across worker processes via :mod:`repro.harness.parallel`, with
-deterministic per-shard seeds, and the results merge back to exactly
-what the serial run produces — see the determinism contract in that
-module's docstring.
+Coverage campaigns take ``jobs``: with ``jobs >= 2`` the repeats fan
+out across worker processes via :mod:`repro.harness.parallel`, with
+deterministic per-repeat seeds, and the curves come back exactly as
+the serial run produces them — see the determinism contract in that
+module's docstring.  Detection and timed campaigns run serially;
+sharded campaigns are scenarios (:func:`repro.scenarios.run_scenario`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.boom.config import BoomConfig
 from repro.core.report import CampaignReport
-from repro.core.specure import Specure, stop_on_kind
+from repro.core.specure import Specure
 
 
 @dataclass
@@ -103,7 +103,7 @@ def _coverage_repeat(
 
 
 def _coverage_repeat_star(args) -> CoverageCurve:
-    """Picklable adapter for pool workers (module-level by necessity)."""
+    """Picklable adapter for shard workers (module-level by necessity)."""
     return _coverage_repeat(*args)
 
 
@@ -149,15 +149,6 @@ class DetectionOutcome:
         return kind in self.first_detection
 
 
-def _detection_kind_star(args) -> DetectionOutcome:
-    """One single-kind detection campaign (picklable pool worker)."""
-    config, kind, iterations, seed, monitor_dcache, use_special_seeds = args
-    return run_detection_campaign(
-        config, [kind], iterations, seed=seed,
-        monitor_dcache=monitor_dcache, use_special_seeds=use_special_seeds,
-    )
-
-
 def run_detection_campaign(
     config: BoomConfig,
     kinds: list[str],
@@ -165,34 +156,8 @@ def run_detection_campaign(
     seed: int = 0,
     monitor_dcache: bool = True,
     use_special_seeds: bool = True,
-    jobs: int | None = None,
 ) -> DetectionOutcome:
-    """Fuzz until every kind in ``kinds`` is found or the budget ends.
-
-    With ``jobs >= 2`` (and more than one kind) each vulnerability kind
-    gets its own worker process running the same seeded campaign, which
-    stops as soon as *its* kind is found.  The fuzzing sequence is a
-    pure function of the seed — the stop predicate only ends the loop —
-    so each kind's first-detection iteration is identical to the serial
-    all-kinds campaign's, while the slowest kind no longer serialises
-    behind the others.
-    """
-    if jobs is not None and jobs >= 2 and len(kinds) >= 2:
-        from repro.harness.parallel import map_shards
-
-        specs = [
-            (config, kind, iterations, seed, monitor_dcache,
-             use_special_seeds)
-            for kind in kinds
-        ]
-        outcomes = map_shards(_detection_kind_star, specs, jobs)
-        merged = DetectionOutcome(
-            tool="specure", iterations_budget=iterations
-        )
-        for outcome in outcomes:
-            merged.first_detection.update(outcome.first_detection)
-        return merged
-
+    """Fuzz until every kind in ``kinds`` is found or the budget ends."""
     specure = Specure(
         config,
         seed=seed,
@@ -222,30 +187,15 @@ def run_timed_campaign(
     coverage: str = "lp",
     seed: int = 0,
     monitor_dcache: bool = True,
-    shards: int = 1,
-    jobs: int | None = None,
 ) -> CampaignReport:
     """Run a campaign for (approximately) a wall-clock budget.
 
     The paper's experiments are time-budgeted (24-hour runs); this is
     the scaled equivalent.  The deadline is checked between iterations,
     so the run overshoots by at most one evaluation.
-
-    With ``shards >= 2`` the budget is fuzzed by that many independent
-    hash-derived seed streams (see
-    :func:`~repro.harness.parallel.shard_seed`) concurrently — ``jobs``
-    worker processes — and the shard reports are merged into one
-    :class:`CampaignReport` (see :mod:`repro.harness.parallel`).
     """
     if seconds <= 0:
         raise ValueError("seconds must be positive")
-    if shards > 1:
-        from repro.harness.parallel import run_sharded_timed_campaign
-
-        return run_sharded_timed_campaign(
-            config, seconds, shards=shards, jobs=jobs, base_seed=seed,
-            coverage=coverage, monitor_dcache=monitor_dcache,
-        )
     specure = Specure(config, seed=seed, coverage=coverage,
                       monitor_dcache=monitor_dcache)
     deadline = time.monotonic() + seconds

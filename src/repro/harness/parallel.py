@@ -1,9 +1,9 @@
-"""Sharded parallel campaign execution and shard-artifact merging.
+"""Shard dispatch and shard-artifact merging.
 
 The paper's evaluation rests on repeated, long (24-hour) fuzzing
 campaigns.  This module fans that work out across worker processes —
-coverage-campaign *repeats* (Figure 2), detection-campaign *kinds*
-(Table 2), and timed-campaign *shards* (the 24-hour runs) — and merges
+scenario *shards* (:mod:`repro.scenarios.runner`, the one sharded
+campaign path) and coverage-campaign *repeats* (Figure 2) — and merges
 the shard artifacts back into exactly the report types a serial run
 produces.
 
@@ -15,9 +15,6 @@ a serial one) and shard ``k >= 1`` at ``stable_hash((base_seed, k))`` —
 and each worker executes the *same* per-shard code path the serial loop
 would.  A sharded run is therefore byte-identical to its serial
 counterpart per shard; only wall-clock concurrency differs.
-``jobs=None``/``jobs<=1`` runs the shards inline in-process, which is
-also the fallback for environments where ``multiprocessing`` is
-unavailable.
 
 The hash derivation replaces the original ``base_seed + 1000 * k``
 spacing, which collided across campaigns whose base seeds differ by a
@@ -27,25 +24,16 @@ shard ``k+1`` of one replayed shard ``k`` of the other).  The old
 here, a :class:`~repro.scenarios.spec.ScenarioError` from scenario
 files).  See the compatibility note in ``docs/scenarios.md``.
 
-Executor architecture
----------------------
-Work is dispatched to a **persistent work-stealing pool**
-(:func:`imap_shard_units`): worker processes live for the process
-lifetime (one fork per jobs count, not one per campaign) and keep
-**shared read-only statics** per ``(design, config)`` —
-the elaborated netlist or RTL design inside a reusable PUT backend
-(:func:`repro.puts.base.build_put`), its decode caches (seed images
-decode once per process), and the
-offline artifacts (:func:`shared_statics`) — so a shard campaign costs
-exactly its fuzzing loop, with no per-shard netlist elaboration or
-offline phase.  Shards become fine-grained deterministic work units
-(unit id = spec position) dispatched via ``imap_unordered`` with chunk
-size 1: a free worker steals the next pending unit immediately, and
-results are re-assembled by unit id (:func:`map_shards`), keeping merged
-reports byte-identical to serial runs whatever the completion order.
-Worker exceptions come back as values, are re-raised as
-:class:`ShardExecutionError` naming the failing shard, and terminate the
-pool promptly instead of joining stuck siblings; see ``docs/performance.md``.
+Dispatch
+--------
+:func:`imap_shard_units` has two paths.  ``jobs<=1`` runs the units
+in-process; anything else (more jobs, or a policy that demands
+isolation) goes to the watchdog fleet, whose workers live for the
+process lifetime and keep per-process :func:`shared_statics`.  Both
+paths share one failure contract: a unit that exhausts its
+:class:`RetryPolicy` raises :class:`ShardExecutionError` naming the
+failing shard (or, in degrade mode, yields a :class:`UnitFailure`).
+See ``docs/performance.md`` and ``docs/resilience.md``.
 
 Merge semantics
 ---------------
@@ -79,7 +67,6 @@ from pathlib import Path
 
 from repro.core.offline import OfflineArtifacts, run_offline
 from repro.core.report import CampaignReport
-from repro.core.specure import Specure
 from repro.detection.vulnerability import LeakReport
 from repro.fuzz.fuzzer import CampaignResult
 from repro.puts.base import Put, build_put, statics_key
@@ -102,17 +89,14 @@ def shard_seed(base_seed: int, shard: int) -> int:
     return stable_hash((base_seed, shard))
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing: persistent pool + per-process shared statics
-# ----------------------------------------------------------------------
-
 class ShardExecutionError(RuntimeError):
-    """A work unit's worker raised inside the pool.
+    """A work unit failed and exhausted its retries.
 
     Carries the failing shard id (``shard``) and the worker-side
-    traceback text (``worker_traceback``); the pool the unit ran in is
-    torn down promptly before this propagates, so sibling units never
-    hold the caller hostage.
+    traceback text (``worker_traceback``).  The fleet the unit ran in
+    is torn down before this propagates, so sibling units never hold
+    the caller hostage; inline, the worker's exception is chained as
+    ``__cause__``.
     """
 
     def __init__(self, shard: int, worker_traceback: str):
@@ -123,48 +107,9 @@ class ShardExecutionError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-#: The process-lifetime worker pool (one per jobs count, lazily built).
-_POOL: multiprocessing.pool.Pool | None = None
-_POOL_JOBS = 0
-_POOL_ATEXIT_REGISTERED = False
-
-
-def _get_pool(jobs: int):
-    """The persistent worker pool, (re)built only when ``jobs`` changes.
-
-    Workers are initialized once per process lifetime and keep their
-    per-process statics (:func:`shared_statics`) across campaigns —
-    repeated `imap_shards` calls reuse warm processes instead of paying
-    a fork + netlist elaboration + offline phase per campaign.
-    """
-    global _POOL, _POOL_JOBS, _POOL_ATEXIT_REGISTERED
-    if _POOL is not None and _POOL_JOBS != jobs:
-        shutdown_pool()
-    if _POOL is None:
-        _POOL = _pool_context().Pool(processes=jobs)
-        _POOL_JOBS = jobs
-        if not _POOL_ATEXIT_REGISTERED:
-            atexit.register(shutdown_pool)
-            _POOL_ATEXIT_REGISTERED = True
-    return _POOL
-
-
-def shutdown_pool() -> None:
-    """Terminate and discard the persistent pool (idempotent).
-
-    Called automatically at interpreter exit, when ``jobs`` changes, and
-    on worker failure or interrupt — `terminate` rather than `close` so
-    a stuck sibling unit cannot block the teardown.  Also tears down the
-    resilient worker fleet so one call quiesces every worker process.
-    """
-    global _POOL, _POOL_JOBS
-    if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
-        _POOL = None
-        _POOL_JOBS = 0
-    shutdown_fleet()
-
+# ----------------------------------------------------------------------
+# Per-process shared statics
+# ----------------------------------------------------------------------
 
 #: Per-process shared read-only statics: one (core, offline artifacts)
 #: pair per PUT configuration, keyed on ``(design, repr(config))`` so
@@ -200,94 +145,10 @@ def shared_statics(config) -> tuple[Put, OfflineArtifacts]:
     return value
 
 
-def shared_specure(config, **knobs) -> Specure:
-    """A :class:`Specure` wired onto this process's shared statics."""
-    core, offline = shared_statics(config)
-    return Specure(core=core, offline=offline, **knobs)
-
-
-def _run_unit(payload):
-    """Work-unit envelope executed in the pool (or inline).
-
-    Returns ``(unit_id, ok, result_or_traceback)`` — errors travel back
-    as values so the dispatcher can name the failing unit and tear the
-    pool down promptly instead of letting the context manager join
-    still-running siblings first.
-    """
-    unit_id, worker, item = payload
-    try:
-        return unit_id, True, worker(item)
-    except Exception:
-        return unit_id, False, traceback.format_exc()
-
-
 def _shard_of(item, unit_id: int) -> int:
     """Best-effort shard id of a work item (for error reporting)."""
     shard = getattr(item, "shard", None)
-    if isinstance(shard, int):
-        return shard
-    if isinstance(item, tuple) and len(item) >= 2 and isinstance(item[1], int):
-        return item[1]  # the scenario runner's (spec, shard, seed) tasks
-    return unit_id
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard's full, picklable work description."""
-
-    shard: int
-    config: object  # BoomConfig | RtlPutConfig (any Put configuration)
-    seed: int
-    coverage: str = "lp"
-    iterations: int = 0
-    seconds: float | None = None
-    monitor_dcache: bool = False
-    use_special_seeds: bool = True
-    random_seed_count: int = 4
-    splice_probability: float = 0.15
-    mutation_rounds: int = 3
-    detector: str = "ift"
-    contract: str = "ct-seq"
-    inputs_per_class: int = 3
-    max_spec_window: int = 16
-    instruction_categories: tuple[str, ...] = ()
-    static_prune: bool = False
-    stop_kind: str | None = None
-
-
-def _run_shard(spec: ShardSpec) -> CampaignReport:
-    """Execute one shard (runs inside a worker process)."""
-    import time
-
-    specure = shared_specure(
-        spec.config,
-        seed=spec.seed,
-        coverage=spec.coverage,
-        monitor_dcache=spec.monitor_dcache,
-        use_special_seeds=spec.use_special_seeds,
-        random_seed_count=spec.random_seed_count,
-        splice_probability=spec.splice_probability,
-        mutation_rounds=spec.mutation_rounds,
-        detector=spec.detector,
-        contract=spec.contract,
-        inputs_per_class=spec.inputs_per_class,
-        max_spec_window=spec.max_spec_window,
-        instruction_categories=spec.instruction_categories,
-        static_prune=spec.static_prune,
-    )
-    deadline = (
-        None if spec.seconds is None else time.monotonic() + spec.seconds
-    )
-
-    def stop(findings) -> bool:
-        if deadline is not None and time.monotonic() >= deadline:
-            return True
-        if spec.stop_kind is not None:
-            return any(f.kind == spec.stop_kind for f in findings)
-        return False
-
-    iterations = spec.iterations if spec.seconds is None else 10_000_000
-    return specure.campaign(iterations, stop_when=stop)
+    return shard if isinstance(shard, int) else unit_id
 
 
 def _pool_context():
@@ -312,14 +173,14 @@ class RetryPolicy:
     watchdog: a worker whose unit has shown no progress — no completed
     recv, and no fresh heartbeat line in ``progress_dir`` — for that
     long is SIGKILLed and its unit retried.  ``on_exhaust`` picks the
-    endgame: ``"fail"`` raises :class:`ShardExecutionError` (the legacy
+    endgame: ``"fail"`` raises :class:`ShardExecutionError` (the
     all-stop), ``"degrade"`` yields a :class:`UnitFailure` marker so the
     campaign completes without the quarantined shard.  ``isolate``
     forces worker processes even at ``jobs=1`` (required for the
     watchdog and for crash containment of whole-process faults).
     """
 
-    max_retries: int = 2
+    max_retries: int = 0
     unit_timeout_s: float = 0.0
     on_exhaust: str = "fail"
     progress_dir: str | Path | None = None
@@ -512,7 +373,7 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
     ``result`` is a :class:`UnitFailure` for units that exhausted their
     retries under ``on_exhaust="degrade"``.  Raises
     :class:`ShardExecutionError` (after tearing the fleet down) under
-    ``on_exhaust="fail"`` — the legacy executor's all-stop contract.
+    ``on_exhaust="fail"`` — the all-stop contract.
     """
     pending = deque(range(len(specs)))
     attempts = {unit_id: 0 for unit_id in range(len(specs))}
@@ -625,7 +486,7 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
         raise
 
 
-def _imap_inline_resilient(worker, specs, policy: RetryPolicy):
+def _imap_inline(worker, specs, policy: RetryPolicy):
     """In-process retry/quarantine for ``jobs<=1`` without isolation.
 
     Covers the exception failure mode only — whole-process faults
@@ -654,63 +515,32 @@ def _imap_inline_resilient(worker, specs, policy: RetryPolicy):
 
 
 def imap_shard_units(worker, specs, jobs: int | None,
-                     policy: RetryPolicy | None = None):
+                     policy: RetryPolicy = RetryPolicy()):
     """Yield ``(unit_id, spec, worker(spec))`` as units *complete*.
 
-    The work-stealing dispatcher: every spec becomes one deterministic
-    work unit ``(unit_id, worker, spec)``, dispatched to the persistent
-    pool via ``imap_unordered`` with chunk size 1 — a free worker steals
-    the next pending unit the moment it finishes its previous one, so a
-    slow unit never idles the other processes the way one coarse task
-    per worker would.  Unit ids let callers re-assemble results into
-    spec order (:func:`map_shards`), which keeps merged reports
-    byte-identical to serial runs regardless of completion order.
+    Every spec becomes one deterministic work unit; unit ids let
+    callers re-assemble results into spec order (:func:`map_shards`),
+    which keeps merged reports byte-identical to serial runs whatever
+    the completion order.  ``jobs=None``/``<=1`` without
+    ``policy.isolate`` runs the units in-process; everything else goes
+    to the watchdog fleet (:class:`_WorkerFleet`), where a free worker
+    takes the next pending unit the moment it finishes its previous
+    one.  ``worker`` and every spec must be picklable.
 
-    Failure semantics: a worker exception travels back as a value,
-    is re-raised here as :class:`ShardExecutionError` naming the failing
-    shard, and the persistent pool is terminated *first* — promptly,
-    without joining still-running siblings.  Interrupts and abandoned
-    generators tear the pool down the same way.  ``jobs=None``/``<=1``
-    runs the units inline, where exceptions propagate raw (with their
-    original tracebacks).  ``worker`` and every spec must be picklable.
-
-    A :class:`RetryPolicy` switches to the resilient dispatcher: the
-    watchdog fleet (:class:`_WorkerFleet`) when running multi-process
-    or when ``policy.isolate`` demands worker processes, else in-process
-    retries.  Under a policy, yielded results may be
-    :class:`UnitFailure` markers (``on_exhaust="degrade"``).
+    Either way a unit that exhausts ``policy`` raises
+    :class:`ShardExecutionError` naming the failing shard, or under
+    ``on_exhaust="degrade"`` is yielded as a :class:`UnitFailure`
+    marker.  The default policy is one attempt, then fail.
     """
-    if policy is not None:
-        jobs = 1 if jobs is None else max(1, min(jobs, len(specs)))
-        if jobs > 1 or policy.isolate:
-            yield from _imap_resilient(worker, specs, jobs, policy)
-        else:
-            yield from _imap_inline_resilient(worker, specs, policy)
-        return
-    jobs = 1 if jobs is None else min(jobs, len(specs))
-    if jobs <= 1 or len(specs) <= 1:
-        for unit_id, spec in enumerate(specs):
-            yield unit_id, spec, worker(spec)
-        return
-    payloads = [(unit_id, worker, spec) for unit_id, spec in enumerate(specs)]
-    pool = _get_pool(jobs)
-    try:
-        for unit_id, ok, result in pool.imap_unordered(_run_unit, payloads):
-            if not ok:
-                raise ShardExecutionError(
-                    _shard_of(specs[unit_id], unit_id), result
-                )
-            yield unit_id, specs[unit_id], result
-    except BaseException:
-        # Worker failure, KeyboardInterrupt, or an abandoned generator
-        # (GeneratorExit): kill outstanding units now; the next call
-        # builds a fresh pool.
-        shutdown_pool()
-        raise
+    jobs = 1 if jobs is None else max(1, min(jobs, len(specs)))
+    if jobs > 1 or policy.isolate:
+        yield from _imap_resilient(worker, specs, jobs, policy)
+    else:
+        yield from _imap_inline(worker, specs, policy)
 
 
 def imap_shards(worker, specs, jobs: int | None,
-                policy: RetryPolicy | None = None):
+                policy: RetryPolicy = RetryPolicy()):
     """Yield ``(spec, worker(spec))`` pairs as they complete.
 
     The streaming face of :func:`imap_shard_units` for store-aware
@@ -815,91 +645,3 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         detectors=reports[0].detectors,
         static_prune=reports[0].static_prune,
     )
-
-
-# ----------------------------------------------------------------------
-# Sharded runners
-# ----------------------------------------------------------------------
-
-def run_sharded_campaign(
-    config,
-    iterations_per_shard: int,
-    shards: int = 2,
-    jobs: int | None = None,
-    base_seed: int = 0,
-    coverage: str = "lp",
-    monitor_dcache: bool = False,
-    use_special_seeds: bool = True,
-    random_seed_count: int = 4,
-    splice_probability: float = 0.15,
-    mutation_rounds: int = 3,
-    detector: str = "ift",
-    contract: str = "ct-seq",
-    inputs_per_class: int = 3,
-    max_spec_window: int = 16,
-    instruction_categories: tuple[str, ...] = (),
-    static_prune: bool = False,
-    stop_kind: str | None = None,
-) -> CampaignReport:
-    """Run ``shards`` independent campaigns and merge their reports.
-
-    Each shard is a full serial campaign at its :func:`shard_seed`;
-    ``jobs`` bounds the number of concurrent worker processes
-    (``None``/1 = inline).
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    specs = [
-        ShardSpec(
-            shard=shard,
-            config=config,
-            seed=shard_seed(base_seed, shard),
-            coverage=coverage,
-            iterations=iterations_per_shard,
-            monitor_dcache=monitor_dcache,
-            use_special_seeds=use_special_seeds,
-            random_seed_count=random_seed_count,
-            splice_probability=splice_probability,
-            mutation_rounds=mutation_rounds,
-            detector=detector,
-            contract=contract,
-            inputs_per_class=inputs_per_class,
-            max_spec_window=max_spec_window,
-            instruction_categories=tuple(instruction_categories),
-            static_prune=static_prune,
-            stop_kind=stop_kind,
-        )
-        for shard in range(shards)
-    ]
-    return merge_reports(map_shards(_run_shard, specs, jobs))
-
-
-def run_sharded_timed_campaign(
-    config,
-    seconds: float,
-    shards: int = 2,
-    jobs: int | None = None,
-    base_seed: int = 0,
-    coverage: str = "lp",
-    monitor_dcache: bool = True,
-) -> CampaignReport:
-    """Sharded version of the paper's time-budgeted (24-hour) runs.
-
-    Every shard fuzzes a distinct seed stream for the *same* wall-clock
-    budget; with ``jobs >= shards`` the whole sharded campaign takes the
-    budget of one.
-    """
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
-    specs = [
-        ShardSpec(
-            shard=shard,
-            config=config,
-            seed=shard_seed(base_seed, shard),
-            coverage=coverage,
-            seconds=seconds,
-            monitor_dcache=monitor_dcache,
-        )
-        for shard in range(shards)
-    ]
-    return merge_reports(map_shards(_run_shard, specs, jobs))

@@ -146,16 +146,6 @@ class ShardTask:
         return replace(self, attempt=attempt)
 
 
-def _as_task(task) -> ShardTask:
-    """Accept legacy ``(spec, shard, seed[, telemetry_dir])`` tuples."""
-    if isinstance(task, ShardTask):
-        return task
-    return ShardTask(
-        spec=task[0], shard=task[1], seed=task[2],
-        telemetry_dir=task[3] if len(task) > 3 else None,
-    )
-
-
 def _shard_campaign(spec: ScenarioSpec, seed: int):
     """Build one shard's campaign from the process's shared statics."""
     core, offline = shared_statics(spec.build_config())
@@ -237,8 +227,10 @@ def _run_shard_campaign(
     return report, _shard_corpus(campaign)
 
 
-def _execute_shard(task) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
-    """One shard's full campaign (picklable pool worker).
+def _execute_shard(
+    task: ShardTask,
+) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
+    """One shard's full campaign (picklable shard worker).
 
     Returns the shard report plus the fuzzer's retained corpus entries,
     which only exist inside the campaign object and must surface here to
@@ -246,12 +238,10 @@ def _execute_shard(task) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]
     executing process's shared statics — one netlist elaboration and one
     offline phase per process lifetime, not one per shard.
 
-    ``task`` is a :class:`ShardTask` (legacy ``(spec, shard, seed)``
-    tuples still work); with a ``telemetry_dir`` the shard streams a
+    With a ``telemetry_dir`` the shard streams a
     ``telemetry/shard-<k>.jsonl`` heartbeat log and dumps its
     spans/metrics into it on completion.
     """
-    task = _as_task(task)
     faultinject.set_context(task.shard)
     if task.telemetry_dir is not None:
         return _execute_shard_telemetry(task)
@@ -269,7 +259,7 @@ def _execute_shard_telemetry(
 ) -> tuple[CampaignReport, list[tuple[TestProgram, int]]]:
     """The telemetry-instrumented shard execution path.
 
-    A pooled worker process has no enabled recorder, so it enables a
+    A fleet worker process has no enabled recorder, so it enables a
     private one for the shard's duration; the inline path scopes the
     parent recorder with a window instead.  Either way the shard's
     spans and metrics end up *only* in its own ``shard-<k>.jsonl``
@@ -599,7 +589,7 @@ def _drive_campaign(
         if store is not None:
             store.set_status(STATUS_INTERRUPTED)
         raise
-    executed.sort()  # completion order varies under the unordered pool
+    executed.sort()  # completion order varies under the fleet
     quarantined = [failures[shard] for shard in sorted(failures)]
 
     # Offline artifacts for store-loaded shards: reuse a fresh shard's

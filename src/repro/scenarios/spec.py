@@ -575,7 +575,7 @@ class ScenarioSpec:
         ``seed`` overrides the spec's base seed (shard workers pass the
         derived per-shard seed); ``core``/``offline`` inject prebuilt
         shared statics (see
-        :func:`repro.harness.parallel.shared_statics`) so pooled workers
+        :func:`repro.harness.parallel.shared_statics`) so fleet workers
         skip re-elaborating the netlist and re-running the offline phase
         per shard.
         """

@@ -137,9 +137,8 @@ class TestComposedJobsDeterminism:
     def test_findings_identical_across_jobs_counts(self):
         reference = None
         for jobs in (1, 2):
-            report = _COMPOSED.build_specure().sharded_campaign(
-                _COMPOSED.iterations, shards=_COMPOSED.shards, jobs=jobs
-            )
+            report = run_scenario(_COMPOSED, jobs=jobs,
+                                  minimize=False).report
             keys = [_finding_key(f) for f in report.fuzz.findings]
             assert keys, f"jobs={jobs}: no findings"
             if reference is None:

@@ -11,11 +11,7 @@ import warnings
 
 import pytest
 
-from repro.harness.parallel import (
-    run_sharded_campaign,
-    run_sharded_timed_campaign,
-    shard_seed,
-)
+from repro.harness.parallel import shard_seed
 from repro.scenarios.spec import ScenarioError, ScenarioSpec
 
 
@@ -25,12 +21,6 @@ class TestShardSeedRemoval:
             shard_seed(5, 2, 1000)
         with pytest.raises(TypeError):
             shard_seed(5, 2, shard_stride=1000)
-
-    def test_runners_reject_the_keyword(self):
-        with pytest.raises(TypeError, match="shard_stride"):
-            run_sharded_campaign(None, 1, shard_stride=1000)
-        with pytest.raises(TypeError, match="shard_stride"):
-            run_sharded_timed_campaign(None, 1.0, shard_stride=1000)
 
     def test_default_call_is_silent_and_unchanged(self):
         with warnings.catch_warnings():

@@ -13,6 +13,7 @@ import pytest
 from repro.boom import BoomConfig, VulnConfig
 from repro.core.specure import Specure, stop_on_kind
 from repro.harness.parallel import shard_seed
+from repro.scenarios import ScenarioSpec, run_scenario
 
 KIND = "spectre_v2"
 BUDGET = 60
@@ -22,6 +23,14 @@ SEED = 7
 @pytest.fixture(scope="module")
 def config():
     return BoomConfig.small(VulnConfig.all())
+
+
+def sharded_report(shards):
+    """The merged report of a ``stop_kind`` scenario on the armed small
+    BOOM at ``SEED`` (the default spec's design and vulnerabilities)."""
+    spec = ScenarioSpec(name="early-stop", seed=SEED, monitor_dcache=True,
+                        iterations=BUDGET, shards=shards, stop_kind=KIND)
+    return run_scenario(spec, jobs=1, minimize=False).report
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +70,9 @@ class TestSerialEarlyStop:
 
 
 class TestShardedEarlyStop:
-    def test_one_shard_stop_kind_matches_serial_stop_when(self, config,
+    def test_one_shard_stop_kind_matches_serial_stop_when(self,
                                                           serial_report):
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=1, jobs=1, stop_kind=KIND
-        )
+        sharded = sharded_report(shards=1)
         assert sharded.fuzz.iterations == serial_report.fuzz.iterations
         assert sharded.first_detection_iteration(KIND) == \
             serial_report.first_detection_iteration(KIND)
@@ -74,9 +81,7 @@ class TestShardedEarlyStop:
 
     def test_multi_shard_stamps_match_per_shard_serial_runs(self, config):
         shards = 2
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=shards, jobs=1, stop_kind=KIND
-        )
+        sharded = sharded_report(shards=shards)
         serials = [
             Specure(config, seed=shard_seed(SEED, shard),
                     monitor_dcache=True).campaign(
@@ -108,10 +113,8 @@ class TestShardedEarlyStop:
         )
         assert sharded.first_detection_iteration(KIND) == first_serial
 
-    def test_multi_shard_curve_truncates_consistently(self, config):
-        sharded = Specure(config, seed=SEED, monitor_dcache=True).sharded_campaign(
-            BUDGET, shards=2, jobs=1, stop_kind=KIND
-        )
+    def test_multi_shard_curve_truncates_consistently(self):
+        sharded = sharded_report(shards=2)
         fuzz = sharded.fuzz
         assert len(fuzz.coverage_curve) == fuzz.iterations
         assert all(

@@ -1,14 +1,16 @@
-"""The persistent work-stealing executor: dispatch, reuse, failure.
+"""The two-path shard dispatcher: dispatch, reuse, failure.
 
 Covers the executor semantics the campaign layers rely on:
 
 * results re-assemble by unit id into spec order whatever the
   completion order (byte-identical merges are pinned end-to-end by
   the scenario/bench tests);
-* the pool persists across calls and per-process statics are shared;
+* the worker fleet persists across calls and per-process statics are
+  shared;
 * a worker exception surfaces as :class:`ShardExecutionError` naming
-  the failing shard, with the pool torn down promptly;
-* the inline (jobs<=1) path propagates raw exceptions.
+  the failing shard, with the fleet torn down promptly;
+* the inline (jobs<=1) path keeps the same contract, chaining the
+  worker's exception as ``__cause__``.
 """
 
 import time
@@ -22,7 +24,7 @@ from repro.harness.parallel import (
     imap_shards,
     map_shards,
     shared_statics,
-    shutdown_pool,
+    shutdown_fleet,
 )
 
 
@@ -43,7 +45,7 @@ def _failing_worker(item):
 
 
 class _ShardLike:
-    """Work item carrying an explicit shard id (like ShardSpec)."""
+    """Work item carrying an explicit shard id (like ShardTask)."""
 
     def __init__(self, shard):
         self.shard = shard
@@ -59,9 +61,9 @@ def _failing_shardlike_worker(item):
 
 
 @pytest.fixture(autouse=True)
-def _clean_pool():
+def _clean_fleet():
     yield
-    shutdown_pool()
+    shutdown_fleet()
 
 
 class TestDispatch:
@@ -71,7 +73,7 @@ class TestDispatch:
                            (3, ("done", 3))]
 
     def test_map_shards_reassembles_by_unit_id(self):
-        # Unit 0 is the slowest; imap_unordered completes it last, but
+        # Unit 0 is the slowest; the fleet completes it last, but
         # map_shards must still return spec order.
         assert map_shards(_sleepy_worker, [0, 1, 2, 3], jobs=4) == \
             [0, 10, 20, 30]
@@ -86,17 +88,17 @@ class TestDispatch:
 
     def test_pool_persists_across_calls(self):
         map_shards(_echo_worker, [1, 2], jobs=2)
-        first = parallel._POOL
+        first = parallel._FLEET
         assert first is not None
         map_shards(_echo_worker, [3, 4], jobs=2)
-        assert parallel._POOL is first  # same pool object, no refork
+        assert parallel._FLEET is first  # same fleet object, no refork
 
     def test_pool_rebuilds_when_jobs_change(self):
         map_shards(_echo_worker, [1, 2], jobs=2)
-        first = parallel._POOL
+        first = parallel._FLEET
         map_shards(_echo_worker, [1, 2, 3], jobs=3)
-        assert parallel._POOL is not first
-        assert parallel._POOL_JOBS == 3
+        assert parallel._FLEET is not first
+        assert parallel._FLEET.jobs == 3
 
 
 class TestFailure:
@@ -111,7 +113,7 @@ class TestFailure:
     def test_pool_is_torn_down_promptly_on_failure(self):
         with pytest.raises(ShardExecutionError):
             map_shards(_failing_worker, [0, 1, 2, 3], jobs=2)
-        assert parallel._POOL is None  # terminated, not left joining
+        assert parallel._FLEET is None  # shut down, not left joining
 
     def test_plain_items_fall_back_to_unit_index(self):
         with pytest.raises(ShardExecutionError) as excinfo:
@@ -120,8 +122,14 @@ class TestFailure:
         assert "boom on 3" in excinfo.value.worker_traceback
 
     def test_inline_failures_propagate_raw(self):
-        with pytest.raises(RuntimeError, match="boom on 3"):
+        """Inline, the worker's raw exception travels as the cause of
+        the same ShardExecutionError the fleet raises."""
+        with pytest.raises(ShardExecutionError) as excinfo:
             map_shards(_failing_worker, [3], jobs=1)
+        assert excinfo.value.shard == 0  # plain item: its unit index
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert str(excinfo.value.__cause__) == "boom on 3"
+        assert "RuntimeError: boom on 3" in excinfo.value.worker_traceback
 
     def test_next_call_after_failure_gets_a_fresh_pool(self):
         with pytest.raises(ShardExecutionError):
@@ -155,11 +163,17 @@ class TestSharedStatics:
         be byte-identical — engine reuse across campaigns is exact."""
         from repro.boom.config import BoomConfig
         from repro.boom.vulns import VulnConfig
-        from repro.harness.parallel import shared_specure
+        from repro.core.specure import Specure
 
         config = BoomConfig.small(VulnConfig.all())
-        first = shared_specure(config, seed=11, monitor_dcache=True)
-        second = shared_specure(config, seed=11, monitor_dcache=True)
+
+        def shared_specure():
+            core, offline = shared_statics(config)
+            return Specure(core=core, offline=offline, seed=11,
+                           monitor_dcache=True)
+
+        first = shared_specure()
+        second = shared_specure()
         assert first.core is second.core
         report_a = first.campaign(5)
         report_b = second.campaign(5)
@@ -191,7 +205,7 @@ class TestScenarioRunnerIntegration:
         calls = []
 
         def tracking_imap(worker, specs, jobs, policy=None):
-            # Run inline but route errors the pooled way.
+            # Run inline, raising the dispatcher's error type.
             for unit_id, task in enumerate(specs):
                 calls.append(task.shard)
                 try:

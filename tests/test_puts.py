@@ -210,16 +210,18 @@ class TestSpecCpuCampaign:
         assert "contract_ct_seq" in kinds
 
     def test_sharded_merge_matches_inline(self):
-        from repro.harness.parallel import run_sharded_campaign
+        from repro.scenarios import ScenarioSpec, run_scenario
 
-        pooled = run_sharded_campaign(RtlPutConfig(), 4, shards=2, jobs=2,
-                                      base_seed=7, monitor_dcache=True)
-        inline = run_sharded_campaign(RtlPutConfig(), 4, shards=2, jobs=None,
-                                      base_seed=7, monitor_dcache=True)
-        assert pooled.fuzz.iterations == inline.fuzz.iterations
-        assert [r.kind for r in pooled.reports] == \
-            [r.kind for r in inline.reports]
-        assert pooled.stats.cycles == inline.stats.cycles
+        spec = ScenarioSpec(name="spec-cpu-sharded", design="spec-cpu",
+                            vulns=(), seed=7, monitor_dcache=True,
+                            iterations=4, shards=2)
+        inline, procs = (
+            run_scenario(spec, jobs=jobs, minimize=False).report
+            for jobs in (1, 2)
+        )
+        assert procs.fuzz.iterations == inline.fuzz.iterations == 8
+        assert procs.render(mst_limit=None, include_timings=False) == \
+            inline.render(mst_limit=None, include_timings=False)
 
     def test_unsupported_clause_is_rejected_at_wiring_time(self):
         specure = Specure(RtlPutConfig(), detector="contract",

@@ -33,7 +33,6 @@ from repro.harness.parallel import (
     UnitFailure,
     imap_shard_units,
     shutdown_fleet,
-    shutdown_pool,
 )
 
 
@@ -78,7 +77,7 @@ def _hang_worker(item):
 @pytest.fixture(autouse=True)
 def _clean_executors():
     yield
-    shutdown_pool()  # shuts the fleet down too
+    shutdown_fleet()
 
 
 # -- retry policy + failure markers ----------------------------------------
