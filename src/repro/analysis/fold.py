@@ -12,70 +12,41 @@ The static engines share one evaluator:
   ``||`` — do not contribute; this is what prunes IFG edges in the
   taint classifier's refined graph.
 
-Evaluation semantics mirror :mod:`repro.rtl.sim` (``~`` masks to the
-operand width, unary ``-`` to 64 bits, reductions over the operand
-width, comparisons unsigned), so a folded constant equals what the
-simulator would compute.
+Operators evaluate through functions compiled from the templates in
+:data:`repro.rtl.ast.UNARY_OPERATORS` / :data:`~repro.rtl.ast.BINARY_OPERATORS`,
+the table the simulator's code generator renders, and sized literals
+truncate to their width as in the simulator, so a folded constant equals
+what the simulator would compute.
 """
 
 from __future__ import annotations
 
 from repro.rtl import ast
+from repro.utils.bitvec import mask
 
-_MASK64 = (1 << 64) - 1
+
+def _compile(template: str):
+    """One operator template as a function of ``(a, b, mask)``."""
+    source = "lambda a, b, mask: " + template.format(a="a", b="b", mask="mask")
+    return eval(compile(source, "<operator>", "eval"), dict(ast.OPERATOR_HELPERS))
+
+
+_UNARY = {op: _compile(t) for op, t in ast.UNARY_OPERATORS.items()}
+_BINARY = {op: _compile(t) for op, t in ast.BINARY_OPERATORS.items()}
 
 
 def _eval_unary(op: str, value: int, width: int | None) -> int:
-    width = width or 64
-    if op == "!":
-        return 0 if value else 1
-    if op == "~":
-        return ~value & ((1 << width) - 1)
-    if op == "-":
-        return -value & _MASK64
-    if op == "&":
-        return 1 if value == (1 << width) - 1 else 0
-    if op == "|":
-        return 1 if value else 0
-    if op == "^":
-        return bin(value).count("1") & 1
-    raise ValueError(f"unknown unary operator {op!r}")
+    function = _UNARY.get(op)
+    if function is None:
+        raise ValueError(f"unknown unary operator {op!r}")
+    return function(value, 0, mask(width or 64))
 
 
 def _eval_binary(op: str, left: int, right: int) -> int:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return (left - right) & _MASK64
-    if op == "*":
-        return left * right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << min(right, 64)
-    if op == ">>":
-        return left >> min(right, 64)
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    if op == "&&":
-        return 1 if left and right else 0
-    if op == "||":
-        return 1 if left or right else 0
-    raise ValueError(f"unknown binary operator {op!r}")
+    function = _BINARY.get(op)
+    if function is None:
+        raise ValueError(f"unknown binary operator {op!r}")
+    return function(left, right, 0)
 
 
 def refine(
@@ -91,7 +62,9 @@ def refine(
     at the call site).  A folded constant has no contributors.
     """
     if isinstance(expr, ast.Number):
-        return expr.value, ()
+        if expr.width is None:
+            return expr.value, ()
+        return expr.value & mask(expr.width), ()
     if isinstance(expr, ast.Identifier):
         if expr.name in env:
             return env[expr.name], ()

@@ -2,9 +2,10 @@
 
 Wraps :class:`~repro.rtl.sim.RtlSimulator` in the :class:`Put` protocol
 so parsed Verilog designs run under the *unchanged* online pipeline —
-trace recording through the same columnar :class:`TraceWriter` path the
-BOOM engine uses, commits read from the design's registered commit
-record, windows extracted from its strobe signals.
+the simulator's generated recorder appends change events to the same
+columnar :class:`~repro.rtl.trace.SignalTrace` the BOOM engine writes,
+commits are read from the design's registered commit record, windows
+extracted from its strobe signals.
 
 The harness's per-cycle contract with the design (see
 :data:`repro.rtl.designs.SPEC_CPU`):
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.boom.core import _COMMIT_POINTS, Commit, CoreResult
-from repro.boom.tracer import TraceWriter
 from repro.contracts.clauses import GoldenTraceMemo
 from repro.detection.windows import extract_windows
 from repro.fuzz.input import TestProgram
@@ -83,9 +83,6 @@ class RtlPut(Put):
         self._design = spec_cpu_design()
         self._map = spec_cpu_signal_map(self.config)
         self.sim = RtlSimulator(self._design)
-        names = self._design.signal_names()
-        self._trace_statics = (names, {n: i for i, n in enumerate(names)})
-        self._trace_slots = list(enumerate(names))
 
     # -- the cycle-level protocol ------------------------------------------
 
@@ -106,11 +103,8 @@ class RtlPut(Put):
             presets[f"x{index}"] = program.reg_init[index] & 0xFFFF_FFFF
         self.sim.preset(presets, reset=True)
 
-        writer = TraceWriter(None, self._trace_statics)
-        values = self.sim.values
-        for index, name in self._trace_slots:
-            writer.init(index, values[name])
-        self.writer = writer
+        self._trace = self.sim.new_trace()
+        self._record = self.sim.recorder(self._trace)
 
         self.cycle = -1
         self.commits: list[Commit] = []
@@ -127,15 +121,11 @@ class RtlPut(Put):
         if self.halted or self.cycle + 1 >= self._budget:
             return False
         self.cycle += 1
-        writer = self.writer
-        writer.set_cycle(self.cycle)
         sim = self.sim
         sim.step({"spec_cpu.instr": self._instr,
                   "spec_cpu.dmem_rdata": self._rdata})
+        self._record(self.cycle)
         values = sim.values
-        write = writer.set
-        for index, name in self._trace_slots:
-            write(index, values[name])
         if values["spec_cpu.c_valid"]:
             self._commit(values)
         if (not self.halted
@@ -153,7 +143,8 @@ class RtlPut(Put):
         return True
 
     def finish(self) -> CoreResult:
-        trace = self.writer.finish()
+        trace = self._trace
+        trace.close(max(self.cycle, 0))  # a run of no cycles closes at 0
         values = self.sim.values
         arch_regs = ([values[f"spec_cpu.x{i}"] for i in range(8)]
                      + [0] * 24)
@@ -175,7 +166,7 @@ class RtlPut(Put):
     # -- design structure ---------------------------------------------------
 
     def signal_names(self) -> list[str]:
-        return list(self._trace_statics[0])
+        return self._design.signal_names()
 
     def signal_map(self) -> PutSignalMap:
         return self._map

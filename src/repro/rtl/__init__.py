@@ -11,7 +11,8 @@ commercial-simulator stack:
   (``top.df1.q``) exactly as the paper's IFG example names them;
 * :mod:`repro.rtl.netlist` is the programmatic route to the same IR, used
   by the BOOM-like core model to declare its registers and flow edges;
-* :mod:`repro.rtl.sim` simulates elaborated designs cycle by cycle;
+* :mod:`repro.rtl.sim` compiles elaborated designs into Python and
+  simulates them cycle by cycle;
 * :mod:`repro.rtl.trace` holds change-event traces (VCD-style) shared by
   the RTL simulator and the core model — the "snapshots" of the paper's
   Microarchitecture Visualizer are reconstructed from these.

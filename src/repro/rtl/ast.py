@@ -42,7 +42,7 @@ class UnaryOp(Expr):
 
 @dataclass(frozen=True)
 class BinaryOp(Expr):
-    op: str  # + - * & | ^ << >> == != < <= > >= && ||
+    op: str  # + - * / % & | ^ << >> == != < <= > >= && ||
     left: Expr
     right: Expr
 
@@ -176,6 +176,65 @@ class Source:
             if module.name == name:
                 return module
         raise KeyError(f"no module named {name!r}")
+
+
+# ----------------------------------------------------------------------
+# Operator semantics
+# ----------------------------------------------------------------------
+
+#: The one copy of the operator semantics, as Python-expression
+#: templates over the placeholders ``{a}`` (the operand, or the left
+#: one), ``{b}`` (the right operand) and ``{mask}`` (all ones over the
+#: unary operand's :func:`expr_width`, 64 bits when unsized).  Each
+#: operand placeholder appears once, in evaluation order, so a template
+#: renders over arbitrary operand code without evaluating anything
+#: twice.  Operands are unmasked non-negative integers; only an
+#: assignment target truncates.  The compiled simulator renders these
+#: into its generated source and the constant folder compiles them into
+#: functions, so a folded constant is what the simulator computes.
+UNARY_OPERATORS: dict[str, str] = {
+    "~": "(~{a} & {mask})",
+    "!": "(0 if {a} else 1)",
+    "-": "(-{a} & 0xFFFFFFFFFFFFFFFF)",
+    "&": "(1 if {a} == {mask} else 0)",  # reduction AND
+    "|": "(1 if {a} else 0)",
+    "^": "(({a}).bit_count() & 1)",
+}
+
+BINARY_OPERATORS: dict[str, str] = {
+    "+": "({a} + {b})",
+    "-": "(({a} - {b}) & 0xFFFFFFFFFFFFFFFF)",
+    "*": "({a} * {b})",
+    "/": "_div({a}, {b})",
+    "%": "_mod({a}, {b})",
+    "&": "({a} & {b})",
+    "|": "({a} | {b})",
+    "^": "({a} ^ {b})",
+    "<<": "({a} << min({b}, 64))",
+    ">>": "({a} >> min({b}, 65536))",
+    "==": "(1 if {a} == {b} else 0)",
+    "!=": "(1 if {a} != {b} else 0)",
+    "<": "(1 if {a} < {b} else 0)",
+    "<=": "(1 if {a} <= {b} else 0)",
+    ">": "(1 if {a} > {b} else 0)",
+    ">=": "(1 if {a} >= {b} else 0)",
+    # Short-circuit: the right operand is evaluated only when needed.
+    "&&": "(1 if {a} and {b} else 0)",
+    "||": "(1 if {a} or {b} else 0)",
+}
+
+
+def _div(a: int, b: int) -> int:
+    return a // b if b else 0  # two-state: division by zero yields 0
+
+
+def _mod(a: int, b: int) -> int:
+    return a % b if b else 0
+
+
+#: Names the templates call besides builtins; the globals a rendered
+#: template is evaluated under.
+OPERATOR_HELPERS = {"_div": _div, "_mod": _mod}
 
 
 def expr_identifiers(expr: Expr) -> list[str]:

@@ -38,6 +38,24 @@ class TestListing1Behaviour:
         assert trace.value_of("top.o", 2) == 0
 
 
+    def test_recorder_matches_a_value_diff(self):
+        # The generated recorder emits exactly the events a diff of the
+        # values dict before and after each cycle would.
+        stimulus = [{"i": value} for value in (1, 0, 1, 1, 0, 0, 1, 0)]
+        trace = make_sim(LISTING_1, top="top").run(len(stimulus), stimulus)
+        sim = make_sim(LISTING_1, top="top")
+        names = list(sim.values)
+        expected = []
+        for cycle, inputs in enumerate(stimulus):
+            before = dict(sim.values)
+            sim.step(inputs)
+            expected += [(cycle, index, before[name], sim.values[name])
+                         for index, name in enumerate(names)
+                         if sim.values[name] != before[name]]
+        assert [tuple(event) for event in trace.events] == expected
+        assert trace.final_cycle == len(stimulus) - 1
+
+
 class TestCombinational:
     def test_assign_chain(self):
         sim = make_sim(
@@ -184,6 +202,117 @@ class TestWidthRules:
             for assign in design.assigns
         }
         assert folded == self.EXPECTED
+
+
+class TestOperatorTable:
+    """The simulator and the static folder evaluate operators from one
+    table, so they agree on the ``>>`` clamp and both implement ``/``
+    and ``%``."""
+
+    SOURCE = """
+    module m(input [7:0] a, output [7:0] shr, output [7:0] quo,
+             output [7:0] rem);
+      assign shr = (a << 64) >> 66;
+      assign quo = a / 8'd6;
+      assign rem = a % 8'd6;
+    endmodule
+    """
+    EXPECTED = {"m.shr": 63, "m.quo": 42, "m.rem": 3}
+
+    def test_simulator_evaluates_the_table(self):
+        sim = make_sim(self.SOURCE)
+        sim.step({"a": 0xFF})
+        assert {name: sim.value(name) for name in self.EXPECTED} == \
+            self.EXPECTED
+
+    def test_folder_agrees_with_the_simulator(self):
+        from repro.analysis.fold import refine
+
+        design = elaborate(parse(self.SOURCE))
+        widths = {name: s.width for name, s in design.signals.items()}
+        folded = {
+            assign.target: refine(assign.value, {"m.a": 0xFF}, widths)[0]
+            for assign in design.assigns
+        }
+        assert folded == self.EXPECTED
+
+    def test_lint_folds_constant_division(self):
+        from repro.analysis.lint import lint_design
+
+        design = elaborate(parse(
+            """
+            module m(input clk, input [7:0] a, output reg [7:0] r);
+              always @(posedge clk) if (8'd6 / 8'd3) r <= a;
+            endmodule
+            """
+        ))
+        checks = [d.check for d in lint_design(design)]
+        assert "unreachable-branch" in checks
+
+
+class TestGeneratedSource:
+    """The compiled program is a pure function of the design."""
+
+    def test_source_is_identical_across_hash_seeds(self):
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import hashlib\n"
+            "from repro.puts.spec_cpu import spec_cpu_design\n"
+            "from repro.rtl.sim import compile_design\n"
+            "print(hashlib.sha256(compile_design(spec_cpu_design())"
+            ".source.encode()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        from repro.puts.spec_cpu import spec_cpu_design
+        from repro.rtl.sim import compile_design
+
+        local = hashlib.sha256(
+            compile_design(spec_cpu_design()).source.encode()).hexdigest()
+        assert digests == {local}
+
+    def test_one_program_per_design_object(self):
+        from repro.rtl.sim import compile_design
+
+        design = elaborate(parse(TestSequential.COUNTER))
+        first, second = RtlSimulator(design), RtlSimulator(design)
+        assert first._program is second._program is compile_design(design)
+        other = elaborate(parse(TestSequential.COUNTER))
+        assert compile_design(other) is not compile_design(design)
+
+    def test_long_chains_compile_flat(self):
+        # Same-operator chains and else-if ternary chains render without
+        # a parenthesis per link, so they stay under Python's nesting cap.
+        terms = 400
+        sim = make_sim(
+            f"""
+            module m(input [7:0] a, output [15:0] sum, output [7:0] mux);
+              assign sum = {" + ".join(["a"] * terms)};
+              assign mux = {" : ".join(f"(a == 8'd{i}) ? 8'd{i}"
+                                       for i in range(200))} : 8'd255;
+            endmodule
+            """
+        )
+        sim.step({"a": 3})
+        assert (sim.value("sum"), sim.value("mux")) == (3 * terms, 3)
+
+    def test_simulator_holds_no_ast_evaluator(self):
+        import repro.rtl.sim as sim_module
+
+        for name in ("_eval", "_eval_unary", "_eval_binary",
+                     "_eval_statement", "_width"):
+            assert not hasattr(RtlSimulator, name), name
+        assert not hasattr(sim_module, "_kind_is_input")
 
 
 class TestSequential:
@@ -397,25 +526,34 @@ class TestPreset:
 
 class TestErrorContext:
     """A SimulationError mid-run names the cycle and the offending
-    signal/statement (the satellite bugfix regression tests)."""
+    signal/statement.  The unsupported node is built into the design
+    before the simulator compiles it, behind a ternary whose condition
+    first holds in cycle 1, so it raises only when evaluated."""
 
     def bogus(self, operand_name: str) -> ast.UnaryOp:
-        # An operator the evaluator does not implement, to force a
+        # An operator the simulator does not implement, to force a
         # SimulationError from deep inside expression evaluation.
         return ast.UnaryOp(op="%%", operand=ast.Identifier(operand_name))
 
     def test_settle_error_names_signal_and_cycle(self):
         design = elaborate(parse(
             """
-            module m(input a, output o);
+            module m(input clk, input a, output o);
+              reg armed;
+              always @(posedge clk) armed <= 1'b1;
               assign o = ~a;
             endmodule
             """
         ))
+        # armed && !a: false before the first edge and while a is 1
+        # (cycle 0), true once a drops in cycle 1.
+        guard = ast.BinaryOp("&&", ast.Identifier("m.armed"),
+                             ast.UnaryOp("!", ast.Identifier("m.a")))
+        (assign,) = design.assigns
+        design.assigns[0] = replace(assign, value=ast.Ternary(
+            guard, self.bogus("m.a"), assign.value))
         sim = RtlSimulator(design)
         sim.step({"a": 1})
-        broken = replace(sim._order[0], value=self.bogus("m.a"))
-        sim._order = [broken]
         with pytest.raises(SimulationError) as err:
             sim.step({"a": 0})
         message = str(err.value)
@@ -425,13 +563,13 @@ class TestErrorContext:
 
     def test_ff_error_names_driven_signal_and_cycle(self):
         design = elaborate(parse(TestSequential.COUNTER))
+        design.ffs[0] = replace(design.ffs[0], body=ast.NonBlocking(
+            target="counter.count",
+            value=ast.Ternary(ast.Identifier("counter.rst"),
+                              ast.Number(0, 8), self.bogus("counter.rst")),
+        ))
         sim = RtlSimulator(design)
         sim.step({"rst": 1})
-        ff = design.ffs[0]
-        design.ffs[0] = replace(
-            ff, body=ast.NonBlocking(target="counter.count",
-                                     value=self.bogus("counter.rst")),
-        )
         with pytest.raises(SimulationError) as err:
             sim.step({"rst": 0})
         message = str(err.value)
