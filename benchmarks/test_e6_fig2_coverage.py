@@ -7,8 +7,10 @@ Headline numbers: the code-coverage-guided fuzzer lags by up to 10.2 %,
 and LP reaches the same PDLC coverage in 798 iterations where code
 coverage needs 5,149 (6.45x).
 
-Here: the same two-arm experiment on the down-scaled core, three
-repeats, with the figure rendered as an ASCII plot.  Shape assertions:
+Here: the same two-arm experiment on the down-scaled core, one
+three-shard scenario per arm (each shard is one repeat, and its report
+carries the shard's covered-PDLC curve), with the figure rendered as an
+ASCII plot.  Shape assertions:
 LP dominates (equal-or-better at every sampled point and strictly better
 at the end), and reaches the code arm's final coverage in a fraction of
 the iterations.
@@ -16,8 +18,9 @@ the iterations.
 
 import pytest
 
-from repro.harness.campaign import mean_curve, run_coverage_campaign
+from repro.harness.campaign import CoverageCurve, mean_curve
 from repro.harness.plotting import render_coverage_figure
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.utils.text import ascii_table
 
 from benchmarks.conftest import emit
@@ -39,23 +42,29 @@ PAPER_SPEEDUP = 6.45
 PAPER_FINAL_GAP_PERCENT = 10.2
 
 
-def run_both_arms(vuln_config):
-    lp_runs = run_coverage_campaign(
-        vuln_config, "lp", ITERATIONS, repeats=REPEATS, base_seed=BASE_SEED
-    )
-    code_runs = run_coverage_campaign(
-        vuln_config, "code", ITERATIONS, repeats=REPEATS, base_seed=BASE_SEED
-    )
+def run_arm(coverage):
+    """One arm of Figure 2: ``REPEATS`` shards of one scenario."""
+    spec = ScenarioSpec(name=f"e6-fig2-{coverage}", coverage=coverage,
+                        seed=BASE_SEED, iterations=ITERATIONS,
+                        shards=REPEATS)
+    outcome = run_scenario(spec, minimize=False)
+    assert outcome.quarantined == []
+    return [
+        CoverageCurve(f"{coverage}#{shard}", curve)
+        for shard, curve in enumerate(outcome.report.lp_curves)
+    ]
+
+
+def run_both_arms():
     return (
-        mean_curve(lp_runs, "Leakage Path (LP)"),
-        mean_curve(code_runs, "Traditional Code Coverage"),
+        mean_curve(run_arm("lp"), "Leakage Path (LP)"),
+        mean_curve(run_arm("code"), "Traditional Code Coverage"),
     )
 
 
 def test_e6_fig2_coverage(benchmark, vuln_config, offline):
-    lp, code = benchmark.pedantic(
-        run_both_arms, args=(vuln_config,), rounds=1, iterations=1
-    )
+    assert ScenarioSpec(name="e6").build_config() == vuln_config
+    lp, code = benchmark.pedantic(run_both_arms, rounds=1, iterations=1)
     emit(render_coverage_figure(lp, code, total_pdlc=len(offline.pdlc)))
 
     target = code.final()

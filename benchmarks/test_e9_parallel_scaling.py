@@ -9,8 +9,8 @@ per query.  This benchmark pins both properties:
   produces byte-identical coverage curves, detections and merged
   artifacts to the serial run at the same seeds.
 * **Fast path** — the indexed trace layer answers the online pipeline's
-  per-window queries (boundary diff, toggled set, toggle counts,
-  boundary snapshots) with a small fraction of the event examinations
+  per-window queries (boundary diff, toggled set, boundary snapshots)
+  with a small fraction of the event examinations
   the seed's linear scans needed, asserted via the trace's
   operation counter (robust on single-CPU CI runners, where wall-clock
   speedup from extra processes is not available).
@@ -19,7 +19,6 @@ per query.  This benchmark pins both properties:
 import time
 
 from repro.fuzz.triggers import all_triggers
-from repro.harness.campaign import run_coverage_campaign
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.utils.text import ascii_table
 
@@ -34,19 +33,20 @@ JOBS = 2
 def test_e9_serial_vs_sharded_equivalence(benchmark, vuln_config):
     """Sharding repeats across processes must not change a single byte
     of the Figure 2 coverage curves."""
+    spec = ScenarioSpec(name="e9-coverage", seed=40, iterations=ITERATIONS,
+                        shards=REPEATS)
+    assert spec.build_config() == vuln_config
+
+    def curves(jobs):
+        return run_scenario(spec, jobs=jobs, minimize=False).report.lp_curves
+
     started = time.perf_counter()
-    serial = run_coverage_campaign(
-        vuln_config, "lp", ITERATIONS, repeats=REPEATS, base_seed=40
-    )
+    serial = curves(1)
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    sharded = benchmark.pedantic(
-        run_coverage_campaign,
-        args=(vuln_config, "lp", ITERATIONS),
-        kwargs={"repeats": REPEATS, "base_seed": 40, "jobs": JOBS},
-        rounds=1, iterations=1,
-    )
+    sharded = benchmark.pedantic(curves, args=(JOBS,), rounds=1,
+                                 iterations=1)
     sharded_seconds = time.perf_counter() - started
 
     emit(ascii_table(
@@ -60,8 +60,8 @@ def test_e9_serial_vs_sharded_equivalence(benchmark, vuln_config):
               f"serial vs {JOBS} worker processes",
     ))
 
-    assert [(c.label, c.values) for c in serial] == \
-        [(c.label, c.values) for c in sharded]
+    assert len(serial) == REPEATS
+    assert serial == sharded
 
 
 def test_e9_sharded_report_matches_serial_merge(vuln_config):
@@ -85,8 +85,8 @@ def test_e9_trace_query_fastpath(vuln_core):
 
     Since the columnar store landed, each derivation walks only the
     columns it needs and the telemetry counts each pass separately
-    (``diff`` = signal+old+new, ``toggled`` = signal only, ``counts`` =
-    signal only) — so the examination *count* bound vs the seed's shared
+    (``diff`` = signal+old+new, ``toggled`` = signal only) — so the
+    examination *count* bound vs the seed's shared
     single pass is strict rather than FASTPATH_FACTOR-fold on a small
     single-window trace like this one.  Campaign-level examination
     counts are pinned exactly by ``tests/test_perf.py``; wall-clock
@@ -100,7 +100,7 @@ def test_e9_trace_query_fastpath(vuln_core):
 
     # The seed's cost for the same query mix:
     #   window_diff = two full snapshots (each scans events <= cycle),
-    #   toggled + counts = one slice walk per consumer per window,
+    #   toggled = one slice walk per consumer per window,
     # repeated for each of the three consumers that used to re-derive
     # window data per iteration (leakage, vulnerability, LP coverage).
     cycles = sorted(trace.columns().cycles)
@@ -123,7 +123,6 @@ def test_e9_trace_query_fastpath(vuln_core):
         # vulnerability root-causing — then repeat queries hit the memo.
         view.diff()
         view.toggled()
-        view.counts()
         view.diff()
         view.toggled()
     indexed_cost = trace.events_examined
@@ -148,7 +147,6 @@ def test_e9_trace_query_fastpath(vuln_core):
         view = trace.window_view(window.start, window.end)
         view.diff()
         view.toggled()
-        view.counts()
     assert trace.events_examined == before_repeat
 
     # Cycle-ordered snapshot queries (the window-boundary pattern)

@@ -69,9 +69,6 @@ class TraceWriter:
             self._append_old(old)
             self._append_new(value)
 
-    def set_by_name(self, name: str, value: int) -> None:
-        self.set(self._index[name], value)
-
     def get(self, index: int) -> int:
         return self.values[index]
 

@@ -48,6 +48,11 @@ class CampaignReport:
     #: the knob off, rendered reports stay byte-identical to pre-knob
     #: references.
     static_prune: bool = False
+    #: Covered-PDLC count after each iteration, one curve per shard in
+    #: shard order (Figure 2's y-axis, recorded for both coverage
+    #: arms).  Not rendered and not in :meth:`to_dict`, so persisted
+    #: reports keep their shape.
+    lp_curves: list[list[int]] = field(default_factory=list)
 
     def detected_kinds(self) -> set[str]:
         return {report.kind for report in self.reports}

@@ -83,6 +83,7 @@ class SpecureCampaign:
             reports=self.online.reports + crashes,
             detectors=("ift", "contract") if mode == "both" else (mode,),
             static_prune=self.online.static_prune,
+            lp_curves=[list(self.online.lp_curve)],
         )
 
 

@@ -13,9 +13,8 @@ while speculation was in flight.  The destination is excluded because a
 toggling destination would already be a leak, and coverage must measure
 *exploration* of a channel, not successful exploitation.
 
-Covered-PDLC items feed the fuzzer exactly like code-coverage items;
-per-path toggle counts are also exposed for seed-energy heuristics and
-for the Figure 2 analysis.
+Covered-PDLC items feed the fuzzer exactly like code-coverage items,
+and the covered-PDLC count per iteration is Figure 2's y-axis.
 """
 
 from __future__ import annotations
@@ -114,23 +113,3 @@ class LpCoverage:
     def items(self, result: CoreResult) -> list:
         """Coverage items ``("lp", pdlc_index)`` for the fuzzing loop."""
         return [("lp", index) for index in self.covered(result)]
-
-    def toggle_counts(self, result: CoreResult) -> dict[int, int]:
-        """Per-PDLC toggle activity inside speculative windows.
-
-        The count for a PDLC is the total number of change events on its
-        path signals across all speculative windows — the "number of
-        times the PDLC signals toggled" of the paper, used for energy.
-        """
-        counts: dict[int, int] = {}
-        for window in result.windows:
-            view = result.trace.window_view(window.start, window.end)
-            window_counts = view.counts()
-            if not window_counts:
-                continue
-            for needed, members in self._groups:
-                total = sum(window_counts.get(signal, 0) for signal in needed)
-                if total:
-                    for pdlc_index in members:
-                        counts[pdlc_index] = counts.get(pdlc_index, 0) + total
-        return counts

@@ -72,8 +72,8 @@ def extract_windows(
     open_windows: dict[int, tuple[int, int, int]] = {}  # tag -> (start, pc, word)
     windows: list[DetectedWindow] = []
 
-    # Replay only the five indicator signals' events (via the trace's
-    # per-signal index) instead of the full change stream — walked
+    # Replay only the five indicator signals' events (one filtered scan
+    # of the signal column) instead of the full change stream — walked
     # positionally over the columns, no event objects built.
     positions = trace.signal_event_positions({
         ix_disp_tag, ix_disp_pc, ix_disp_word, ix_res_tag, ix_res_mispredict,

@@ -121,52 +121,32 @@ class Fuzzer:
         as ``start_iteration`` — with the fuzzer's RNG/corpus/coverage
         restored alongside, the remaining iterations replay exactly the
         draws an uninterrupted run would have made.
-
-        The cyclic garbage collector is paused for the duration of the
-        loop: one iteration allocates tens of thousands of objects, and
-        with the collector's default thresholds that forces dozens of
-        generation-0 sweeps per iteration.  The pipeline's per-run
-        artifacts are reference-cycle-free by design (the columnar trace
-        and its window views hold no back-references), so everything a
-        finished iteration drops is freed immediately by reference
-        counting; the deferred full collection on exit only mops up
-        incidental cycles (e.g. exception tracebacks).
         """
-        import gc
-
         result = (resume_result if resume_result is not None
                   else CampaignResult(iterations=0))
         recorder = telemetry.recorder()
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for index in range(start_iteration, iterations):
-                with recorder.span("online/iteration"):
-                    program = self._next_input(index)
-                    new_items = self._run_one(index, program, result)
-                result.coverage_curve.append(len(self.coverage))
-                result.iterations = index + 1
-                if recorder.enabled:
-                    recorder.count("fuzz.iterations")
+        for index in range(start_iteration, iterations):
+            with recorder.span("online/iteration"):
+                program = self._next_input(index)
+                new_items = self._run_one(index, program, result)
+            result.coverage_curve.append(len(self.coverage))
+            result.iterations = index + 1
+            if recorder.enabled:
+                recorder.count("fuzz.iterations")
+                if new_items:
+                    recorder.count("fuzz.new_coverage_items", new_items)
+                for op in self._provenance:
+                    recorder.count(f"mutation.{op}.programs")
                     if new_items:
-                        recorder.count("fuzz.new_coverage_items", new_items)
-                    for op in self._provenance:
-                        recorder.count(f"mutation.{op}.programs")
-                        if new_items:
-                            recorder.count(f"mutation.{op}.yield", new_items)
-                if observer is not None:
-                    observer.on_iteration(index, new_items, len(self.coverage))
-                if stop_when is not None and stop_when(result.findings):
-                    break
-                if (checkpoint_every > 0 and on_checkpoint is not None
-                        and (index + 1) % checkpoint_every == 0
-                        and index + 1 < iterations):
-                    on_checkpoint(index + 1, result)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
+                        recorder.count(f"mutation.{op}.yield", new_items)
+            if observer is not None:
+                observer.on_iteration(index, new_items, len(self.coverage))
+            if stop_when is not None and stop_when(result.findings):
+                break
+            if (checkpoint_every > 0 and on_checkpoint is not None
+                    and (index + 1) % checkpoint_every == 0
+                    and index + 1 < iterations):
+                on_checkpoint(index + 1, result)
         result.corpus_size = len(self.corpus)
         result.executed_programs = result.iterations
         return result

@@ -5,9 +5,6 @@ from repro.harness.campaign import (
     CoverageCurve,
     align_curves,
     mean_curve,
-    run_coverage_campaign,
-    run_detection_campaign,
-    run_timed_campaign,
 )
 from repro.harness.experiments import EXPERIMENTS, ExperimentSpec
 from repro.harness.parallel import (
@@ -21,9 +18,6 @@ __all__ = [
     "CoverageCurve",
     "align_curves",
     "mean_curve",
-    "run_coverage_campaign",
-    "run_detection_campaign",
-    "run_timed_campaign",
     "merge_campaign_results",
     "merge_reports",
     "shard_seed",

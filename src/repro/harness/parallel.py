@@ -1,11 +1,11 @@
 """Shard dispatch and shard-artifact merging.
 
 The paper's evaluation rests on repeated, long (24-hour) fuzzing
-campaigns.  This module fans that work out across worker processes —
-scenario *shards* (:mod:`repro.scenarios.runner`, the one sharded
-campaign path) and coverage-campaign *repeats* (Figure 2) — and merges
-the shard artifacts back into exactly the report types a serial run
-produces.
+campaigns.  This module fans scenario *shards* out across worker
+processes for :mod:`repro.scenarios.runner`, the one campaign driver
+(Figure 2's repeats are the shards of one scenario per coverage arm),
+and merges the shard artifacts back into exactly the report types a
+serial run produces.
 
 Determinism contract
 --------------------
@@ -26,7 +26,7 @@ files).  See the compatibility note in ``docs/scenarios.md``.
 
 Dispatch
 --------
-:func:`imap_shard_units` has two paths.  ``jobs<=1`` runs the units
+:func:`imap_shards` has two paths.  ``jobs<=1`` runs the units
 in-process; anything else (more jobs, or a policy that demands
 isolation) goes to the watchdog fleet, whose workers live for the
 process lifetime and keep per-process :func:`shared_statics`.  Both
@@ -50,7 +50,8 @@ Merge semantics
   counted).
 * :func:`merge_reports` combines full :class:`CampaignReport` shards
   using all of the above; the offline artifacts are taken from the
-  first shard (they are a pure function of the configuration).
+  first shard (they are a pure function of the configuration) and the
+  per-shard covered-PDLC curves are kept side by side in shard order.
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def _progress_stamp(policy: RetryPolicy, item, unit_id: int,
 def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
     """The fleet dispatcher: watchdog + retry + quarantine markers.
 
-    Yields ``(unit_id, spec, result)`` in completion order, where
+    Yields ``(spec, result)`` in completion order, where
     ``result`` is a :class:`UnitFailure` for units that exhausted their
     retries under ``on_exhaust="degrade"``.  Raises
     :class:`ShardExecutionError` (after tearing the fleet down) under
@@ -441,12 +442,12 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
                         member.unit_id = None
                         if ok:
                             done += 1
-                            yield unit_id, specs[unit_id], payload
+                            yield specs[unit_id], payload
                         else:
                             failure = exhaust(unit_id, "exception", payload)
                             if failure is not None:
                                 done += 1
-                                yield unit_id, specs[unit_id], failure
+                                yield specs[unit_id], failure
                         continue
                 if died:
                     member.unit_id = None
@@ -457,7 +458,7 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
                         f"result — killed or crashed hard")
                     if failure is not None:
                         done += 1
-                        yield unit_id, specs[unit_id], failure
+                        yield specs[unit_id], failure
 
             if policy.unit_timeout_s > 0:
                 now = time.time()
@@ -478,7 +479,7 @@ def _imap_resilient(worker, specs, jobs: int, policy: RetryPolicy):
                         f"worker killed by the watchdog")
                     if failure is not None:
                         done += 1
-                        yield unit_id, specs[unit_id], failure
+                        yield specs[unit_id], failure
     except BaseException:
         # ShardExecutionError, KeyboardInterrupt, or an abandoned
         # generator: quiesce every worker; the next call rebuilds.
@@ -503,29 +504,30 @@ def _imap_inline(worker, specs, policy: RetryPolicy):
                 if attempt <= policy.max_retries:
                     continue
                 if policy.on_exhaust == "degrade":
-                    yield unit_id, spec, UnitFailure(
+                    yield spec, UnitFailure(
                         shard=_shard_of(spec, unit_id), attempts=attempt,
                         kind="exception", error=traceback.format_exc())
                     break
                 raise ShardExecutionError(
                     _shard_of(spec, unit_id),
                     traceback.format_exc()) from error
-            yield unit_id, spec, result
+            yield spec, result
             break
 
 
-def imap_shard_units(worker, specs, jobs: int | None,
-                     policy: RetryPolicy = RetryPolicy()):
-    """Yield ``(unit_id, spec, worker(spec))`` as units *complete*.
+def imap_shards(worker, specs, jobs: int | None,
+                policy: RetryPolicy = RetryPolicy()):
+    """Yield ``(spec, worker(spec))`` pairs as units *complete*.
 
-    Every spec becomes one deterministic work unit; unit ids let
-    callers re-assemble results into spec order (:func:`map_shards`),
-    which keeps merged reports byte-identical to serial runs whatever
-    the completion order.  ``jobs=None``/``<=1`` without
-    ``policy.isolate`` runs the units in-process; everything else goes
-    to the watchdog fleet (:class:`_WorkerFleet`), where a free worker
-    takes the next pending unit the moment it finishes its previous
-    one.  ``worker`` and every spec must be picklable.
+    The one shard dispatcher.  Every spec becomes one deterministic
+    work unit; results arrive in completion order, each paired with its
+    own spec, so a store-aware caller (:mod:`repro.scenarios.runner`)
+    persists each shard as it lands and re-assembles shard order
+    itself.  ``jobs=None``/``<=1`` without ``policy.isolate`` runs the
+    units in-process; everything else goes to the watchdog fleet
+    (:class:`_WorkerFleet`), where a free worker takes the next pending
+    unit the moment it finishes its previous one.  ``worker`` and every
+    spec must be picklable.
 
     Either way a unit that exhausts ``policy`` raises
     :class:`ShardExecutionError` naming the failing shard, or under
@@ -537,38 +539,6 @@ def imap_shard_units(worker, specs, jobs: int | None,
         yield from _imap_resilient(worker, specs, jobs, policy)
     else:
         yield from _imap_inline(worker, specs, policy)
-
-
-def imap_shards(worker, specs, jobs: int | None,
-                policy: RetryPolicy = RetryPolicy()):
-    """Yield ``(spec, worker(spec))`` pairs as they complete.
-
-    The streaming face of :func:`imap_shard_units` for store-aware
-    callers (:mod:`repro.scenarios.runner`) that persist each shard's
-    artifacts as soon as it lands: results arrive in *completion* order
-    (each paired with its own spec, so identity is never ambiguous), and
-    a consumer that stops early has every yielded shard already
-    persisted.  Callers that need spec order use :func:`map_shards`.
-    With a :class:`RetryPolicy` in degrade mode, a yielded result may be
-    a :class:`UnitFailure` marker instead of the worker's return value.
-    """
-    for _unit_id, spec, result in imap_shard_units(worker, specs, jobs,
-                                                   policy):
-        yield spec, result
-
-
-def map_shards(worker, specs, jobs: int | None):
-    """Run ``worker`` over ``specs``, optionally across processes.
-
-    Results are re-assembled by unit id into spec order, so downstream
-    merges are deterministic regardless of which worker finishes first.
-    ``worker`` and every spec must be picklable (module-level function,
-    plain-data spec).
-    """
-    results = [None] * len(specs)
-    for unit_id, _spec, result in imap_shard_units(worker, specs, jobs):
-        results[unit_id] = result
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -636,6 +606,9 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     for report in reports:
         leak_reports.extend(report.reports)
     fuzz = merge_campaign_results([report.fuzz for report in reports])
+    lp_curves: list[list[int]] = []
+    for report in reports:
+        lp_curves.extend(report.lp_curves)
     return CampaignReport(
         offline=reports[0].offline,
         fuzz=fuzz,
@@ -644,4 +617,5 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         reports=leak_reports,
         detectors=reports[0].detectors,
         static_prune=reports[0].static_prune,
+        lp_curves=lp_curves,
     )

@@ -88,16 +88,6 @@ class Netlist:
             self._edge_set.add(key)
             self.edges.append(key)
 
-    def connect_many(self, sources: list[str], dst: str) -> None:
-        """Edges from every source to ``dst``."""
-        for src in sources:
-            self.connect(src, dst)
-
-    def fanout(self, src: str, destinations: list[str]) -> None:
-        """Edges from ``src`` to every destination."""
-        for dst in destinations:
-            self.connect(src, dst)
-
     # -- queries ---------------------------------------------------------
 
     def state_names(self) -> list[str]:

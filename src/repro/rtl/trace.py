@@ -12,23 +12,20 @@ event.  A campaign appends 10-25k events per iteration, hundreds of
 thousands per run of the bench harness — as tuples those dominate both
 the allocator and the cyclic garbage collector, and every query path
 pays per-event unpacking.  The columns keep recording at four C-level
-appends, let queries walk exactly the columns they need (a toggle count
+appends, let queries walk exactly the columns they need (a toggled set
 reads one column, a boundary diff three), and drop per-event memory from
 a tracked 4-tuple to 32 raw bytes.  :class:`ChangeEvent` objects are
 materialised only when a caller explicitly asks for them
-(:attr:`SignalTrace.events`, :meth:`SignalTrace.events_in`,
-:meth:`SignalTrace.events_for_signals`); every internal consumer works
-positionally over :meth:`SignalTrace.columns`.
+(:attr:`SignalTrace.events`, :attr:`WindowView.events`); every internal
+consumer works positionally over :meth:`SignalTrace.columns`.
 
-Reconstruction is served by three indexes, all derived from the fact
-that events are appended in cycle order:
+Reconstruction rests on events being appended in cycle order:
 
 * the **cycle column itself** is the global bisect index for
-  ``snapshot()``, ``events_in()`` and window bounds;
-* a **per-signal index** (event positions and cycles per signal, also
-  machine-typed arrays) so ``value_of()`` is a single bisect and
-  consumers like the window extractor can walk only the events of the
-  signals they care about (:meth:`SignalTrace.signal_event_positions`);
+  ``snapshot()`` and window bounds;
+* a **per-signal scan** (:meth:`SignalTrace.signal_event_positions`)
+  lets consumers like the window extractor walk only the events of the
+  signals they care about;
 * a **per-window view cache** (:meth:`SignalTrace.window_view`): the
   Leakage Detector, the Vulnerability Detector and the LP Coverage
   Calculator all interrogate the *same* speculative windows, so each
@@ -42,8 +39,9 @@ touched; the E9 benchmark uses it to pin the indexed fast path against
 the naive full-scan cost, and the bench gate uses it as a
 machine-independent regression check.
 
-A retained reference implementation with the same API but the seed's
-plain event-list storage lives in :mod:`repro.rtl.trace_reference`; the
+A retained reference implementation with the same recording and
+snapshot/diff API but the seed's plain event-list storage lives in
+:mod:`repro.rtl.trace_reference`; the
 equivalence suite (``tests/test_trace_columnar.py``) drives both through
 random record/query interleavings and requires identical answers.
 """
@@ -92,14 +90,13 @@ class WindowView:
     Holds references to the trace's *columns* and telemetry cell — never
     the trace object itself — so trace and view form no reference cycle.
     Derivations are computed lazily and memoised per view, and split by
-    the columns they need: ``toggled()``/``counts()`` walk only the
-    signal column, while ``diff()`` (asked only for misspeculated
-    windows, a small minority) walks signal+old+new.
+    the columns they need: ``toggled()`` walks only the signal column,
+    while ``diff()`` (asked only for misspeculated windows, a small
+    minority) walks signal+old+new.
     """
 
     __slots__ = ("start", "end", "_lo", "_hi", "_cycles", "_signals",
-                 "_olds", "_news", "_examined",
-                 "_toggled", "_counts", "_diff")
+                 "_olds", "_news", "_examined", "_toggled", "_diff")
 
     def __init__(self, columns: TraceColumns, examined: list,
                  start: int, end: int, lo: int, hi: int):
@@ -110,7 +107,6 @@ class WindowView:
         self._lo = lo
         self._hi = hi
         self._toggled: set[int] | None = None
-        self._counts: dict[int, int] | None = None
         self._diff: dict[int, tuple[int, int]] | None = None
 
     @property
@@ -131,24 +127,10 @@ class WindowView:
         """The toggled-signal set: one C-level ``set()`` over the slice.
 
         This is the hottest derivation (LP coverage asks it for *every*
-        speculative window), so it deliberately does not piggyback the
-        per-signal count dict — ``set(array_slice)`` runs an order of
-        magnitude faster than a Python counting loop, and counts are a
-        cold path (energy analysis, tests).
+        speculative window).
         """
         self._examined[0] += self._hi - self._lo
         self._toggled = set(self._signals[self._lo:self._hi])
-
-    def _derive_counts(self) -> None:
-        """One pass over the signal column fills the per-signal counts."""
-        self._examined[0] += self._hi - self._lo
-        counts: dict[int, int] = {}
-        counts_get = counts.get
-        for signal in self._signals[self._lo:self._hi]:
-            counts[signal] = counts_get(signal, 0) + 1
-        self._counts = counts
-        if self._toggled is None:
-            self._toggled = set(counts)
 
     def _derive_diff(self) -> None:
         """One pass over signal+old+new fills the boundary diff."""
@@ -172,12 +154,6 @@ class WindowView:
         if self._toggled is None:
             self._derive_toggled()
         return self._toggled
-
-    def counts(self) -> dict[int, int]:
-        """Per-signal change counts inside the window."""
-        if self._counts is None:
-            self._derive_counts()
-        return self._counts
 
     def diff(self) -> dict[int, tuple[int, int]]:
         """Signals whose value differs across the window boundary.
@@ -221,13 +197,6 @@ class SignalTrace:
             _index_of if _index_of is not None
             else {name: i for i, name in enumerate(signal_names)}
         )
-        #: Per-signal index: event positions and cycles, parallel typed
-        #: arrays per signal.  Built lazily (recording is the simulator's
-        #: hot path; queries happen after a run ends) and extended
-        #: incrementally.
-        self._signal_positions: dict[int, array] = {}
-        self._signal_cycles: dict[int, array] = {}
-        self._signal_indexed = 0  # events already in the per-signal index
         #: Window-view cache, invalidated lazily: views built for an
         #: older event count are discarded on the next window_view()
         #: call, so the recording fast path never touches the cache.
@@ -275,22 +244,18 @@ class SignalTrace:
         return self._index_of[name]
 
     def record(self, cycle: int, signal: int, old: int, new: int) -> None:
-        """Append a change event (cycles must be non-decreasing)."""
+        """Append a change event (cycles must be non-decreasing).
+
+        Writers whose cycle counter is monotonic by construction and
+        that :meth:`close` the trace when done
+        (:class:`repro.boom.tracer.TraceWriter`) append through
+        :meth:`appenders` instead, which skips the ordering check and
+        this call's per-event Python frame entirely.
+        """
         if cycle < self.final_cycle:
             raise ValueError(
                 f"events must be appended in cycle order ({cycle} < {self.final_cycle})"
             )
-        self.record_unchecked(cycle, signal, old, new)
-
-    def record_unchecked(self, cycle: int, signal: int, old: int,
-                         new: int) -> None:
-        """:meth:`record` minus the cycle-ordering check — four column
-        appends.  Writers whose cycle counter is monotonic by
-        construction and that :meth:`close` the trace when done
-        (:class:`repro.boom.tracer.TraceWriter`) may instead append
-        through :meth:`appenders`, which skips this call's per-event
-        Python frame entirely.
-        """
         self._cycles.append(cycle)
         self._signals.append(signal)
         self._olds.append(old)
@@ -304,34 +269,12 @@ class SignalTrace:
         Contract for callers: append one value to *each* column per
         event, with non-decreasing cycles, and call :meth:`close` with
         the last cycle when recording ends (``final_cycle`` is not
-        maintained per append on this path).  All query-side invariants
-        (window-view cache, per-signal index, snapshot memo) are
-        validated lazily against the column length, so they hold
-        whichever append path was used.
+        maintained per append on this path).  The query-side caches
+        (window views, snapshot memo) are validated lazily against the
+        column length, so they hold whichever append path was used.
         """
         return (self._cycles.append, self._signals.append,
                 self._olds.append, self._news.append)
-
-    def _ensure_signal_index(self) -> None:
-        """Bring the per-signal index up to date with the event columns."""
-        count = len(self._cycles)
-        if self._signal_indexed == count:
-            return
-        positions = self._signal_positions
-        cycles = self._signal_cycles
-        positions_get = positions.get
-        start = self._signal_indexed
-        position = start
-        for cycle, signal in zip(self._cycles[start:], self._signals[start:]):
-            bucket = positions_get(signal)
-            if bucket is None:
-                positions[signal] = array("q", (position,))
-                cycles[signal] = array("q", (cycle,))
-            else:
-                bucket.append(position)
-                cycles[signal].append(cycle)
-            position += 1
-        self._signal_indexed = count
 
     def close(self, last_cycle: int) -> None:
         """Mark the end of the simulation (even if the tail was quiet)."""
@@ -367,50 +310,14 @@ class SignalTrace:
         self._snap_hi = hi
         return state
 
-    def value_of(self, name: str, cycle: int) -> int:
-        """Value of one signal at the end of ``cycle`` (one bisect)."""
-        index = self._index_of[name]
-        self._ensure_signal_index()
-        cycles = self._signal_cycles.get(index)
-        if not cycles:
-            return self.initial[index]
-        pos = bisect_right(cycles, cycle)
-        self._examined[0] += 1
-        if pos == 0:
-            return self.initial[index]
-        return self._news[self._signal_positions[index][pos - 1]]
-
-    def events_in(self, start: int, end: int) -> list[ChangeEvent]:
-        """Events with ``start <= cycle <= end`` (cycle-ordered)."""
-        lo = bisect_right(self._cycles, start - 1)
-        hi = bisect_right(self._cycles, end)
-        new = tuple.__new__
-        return [
-            new(ChangeEvent, quad)
-            for quad in zip(self._cycles[lo:hi], self._signals[lo:hi],
-                            self._olds[lo:hi], self._news[lo:hi])
-        ]
-
     def signal_event_positions(self, indices) -> list[int]:
         """Positions of the given signals' events, in stream order.
 
-        The zero-object counterpart of :meth:`events_for_signals`:
-        consumers walk the returned positions against :meth:`columns`
-        without a single event object being built.  When the per-signal
-        index is already built it is merged; otherwise one filtered pass
-        over the signal column answers the query without paying to index
-        every signal (the common campaign case queries one fixed subset
-        once per trace).
+        Consumers walk the returned positions against :meth:`columns`
+        without a single event object being built.  One filtered pass
+        over the signal column answers the query (the campaign case
+        queries one fixed subset once per trace).
         """
-        if self._signal_indexed == len(self._cycles):
-            merged: list[int] = []
-            for index in indices:
-                bucket = self._signal_positions.get(index)
-                if bucket is not None:
-                    merged.extend(bucket)
-            merged.sort()
-            self._examined[0] += len(merged)
-            return merged
         signals = self._signals
         if len(indices) <= 8:
             # Small subset (the window extractor's five ROB indicator
@@ -439,23 +346,6 @@ class SignalTrace:
         self._examined[0] += len(matched)
         return matched
 
-    def events_for_signals(self, indices: set[int]) -> list[ChangeEvent]:
-        """All events of the given signals, materialised in stream order.
-
-        Kept for API compatibility and cold callers; hot consumers
-        (window extraction, the hardware-trace collector) walk
-        :meth:`signal_event_positions` against :meth:`columns` instead.
-        """
-        cycles, signals, olds, news = (self._cycles, self._signals,
-                                       self._olds, self._news)
-        new = tuple.__new__
-        return [
-            new(ChangeEvent,
-                (cycles[position], signals[position],
-                 olds[position], news[position]))
-            for position in self.signal_event_positions(indices)
-        ]
-
     def window_view(self, start: int, end: int) -> WindowView:
         """The (cached) per-window query view for ``[start, end]``."""
         views = self._window_views
@@ -474,18 +364,6 @@ class SignalTrace:
                               start, end, lo, hi)
             views[key] = view
         return view
-
-    def toggled_signals(self, start: int, end: int) -> set[int]:
-        """Indices of signals that changed value in [start, end].
-
-        Returns a fresh set (the cached window view keeps the memo), so
-        callers may mutate the result freely.
-        """
-        return set(self.window_view(start, end).toggled())
-
-    def toggle_counts(self, start: int, end: int) -> dict[int, int]:
-        """Per-signal change counts in [start, end] (fresh dict)."""
-        return dict(self.window_view(start, end).counts())
 
     def diff(self, start: int, end: int) -> dict[int, tuple[int, int]]:
         """Signals whose value differs between the end of ``start`` and

@@ -1,13 +1,13 @@
 """The executable specification of :class:`repro.rtl.trace.SignalTrace`.
 
-A deliberately simple event-*list* trace with the same public API as the
-columnar implementation: one :class:`ChangeEvent` per change, and every
-query answered by a plain linear scan.  It exists so the equivalence
-suite (``tests/test_trace_columnar.py``) can drive random record/query
+A deliberately simple event-*list* trace with the same recording,
+snapshot, diff and signal-scan API as the columnar implementation: one
+:class:`ChangeEvent` per change, and every query answered by a plain
+linear scan.  It exists so the equivalence suite
+(``tests/test_trace_columnar.py``) can drive random record/query
 interleavings through both implementations and require identical
-answers — the columnar store's bisects, per-signal indexes, snapshot
-resume memo and cached window views must never change a result, only
-its cost.
+answers — the columnar store's bisects, snapshot resume memo and cached
+window views must never change a result, only its cost.
 
 Not used on any production path; ``events_examined`` telemetry is
 maintained (as the naive full-scan cost) but carries no contract here.
@@ -39,10 +39,6 @@ class ReferenceSignalTrace:
             raise ValueError(
                 f"events must be appended in cycle order ({cycle} < {self.final_cycle})"
             )
-        self.record_unchecked(cycle, signal, old, new)
-
-    def record_unchecked(self, cycle: int, signal: int, old: int,
-                         new: int) -> None:
         self.events.append(ChangeEvent(cycle, signal, old, new))
         self.final_cycle = cycle
 
@@ -60,37 +56,11 @@ class ReferenceSignalTrace:
             self.events_examined += 1
         return state
 
-    def value_of(self, name: str, cycle: int) -> int:
-        index = self._index_of[name]
-        value = self.initial[index]
-        for event in self.events:
-            if event.cycle > cycle:
-                break
-            if event.signal == index:
-                value = event.new
-                self.events_examined += 1
-        return value
-
-    def events_in(self, start: int, end: int) -> list[ChangeEvent]:
-        return [e for e in self.events if start <= e.cycle <= end]
-
     def signal_event_positions(self, indices) -> list[int]:
         return [
             position for position, event in enumerate(self.events)
             if event.signal in indices
         ]
-
-    def events_for_signals(self, indices) -> list[ChangeEvent]:
-        return [e for e in self.events if e.signal in indices]
-
-    def toggled_signals(self, start: int, end: int) -> set[int]:
-        return {e.signal for e in self.events_in(start, end)}
-
-    def toggle_counts(self, start: int, end: int) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for event in self.events_in(start, end):
-            counts[event.signal] = counts.get(event.signal, 0) + 1
-        return counts
 
     def diff(self, start: int, end: int) -> dict[int, tuple[int, int]]:
         before = self.snapshot(start)

@@ -21,7 +21,6 @@ campaign output.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.core.online import OnlineStats
@@ -34,29 +33,24 @@ from repro.scenarios.store import (
     _window_to_dict,
     campaign_result_from_dict,
     campaign_result_to_dict,
+    checkpoint_filename,
     program_from_dict,
     program_to_dict,
     report_from_dict,
     report_to_dict,
 )
+from repro.utils.atomic import atomic_write_text
 
 #: Bump when the state layout changes; mismatched checkpoints are
 #: ignored (the shard restarts from iteration 0 — always correct).
 CHECKPOINT_VERSION = 1
 
 
-def checkpoint_filename(shard: int) -> str:
-    """The per-shard checkpoint file name (mirrors shard artifacts)."""
-    return f"shard-{shard:04d}.json"
-
-
 def save_checkpoint(directory: str | Path, shard: int, record: dict) -> None:
-    """Atomically write one shard's checkpoint (tmp + ``os.replace``),
-    so a crash mid-write leaves the previous checkpoint intact."""
-    path = Path(directory) / checkpoint_filename(shard)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    """Atomically write one shard's checkpoint, so a crash mid-write
+    leaves the previous checkpoint intact."""
+    atomic_write_text(Path(directory) / checkpoint_filename(shard),
+                      json.dumps(record) + "\n")
 
 
 def load_checkpoint(directory: str | Path, shard: int) -> dict | None:

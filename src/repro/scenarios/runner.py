@@ -85,6 +85,7 @@ from repro.telemetry.runstats import (
     summarize,
     summarize_recorder,
 )
+from repro.utils.atomic import atomic_write_text
 from repro.utils.text import ascii_table
 
 
@@ -460,15 +461,10 @@ def _finish_telemetry(recorder, store: CampaignStore | None,
     tdir = store.telemetry_dir(create=True)
     telemetry_export.write_jsonl(tdir / CAMPAIGN_FILE, records)
     summary = summarize(load_run_telemetry(store.root))
-    _atomic_summary(tdir / SUMMARY_FILE, summary)
+    atomic_write_text(
+        tdir / SUMMARY_FILE,
+        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _atomic_summary(path: Path, summary: TelemetrySummary) -> None:
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True)
-                   + "\n", encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _resilience_policy(spec: ScenarioSpec,

@@ -39,7 +39,6 @@ pure function of the configuration and are never stored).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.contracts.detector import ContractViolation
@@ -52,6 +51,7 @@ from repro.fuzz.crash import CrashReport
 from repro.fuzz.fuzzer import CampaignResult, FuzzFinding
 from repro.fuzz.input import TestProgram
 from repro.scenarios.spec import ScenarioError, ScenarioSpec
+from repro.utils.atomic import atomic_write_text
 
 SCHEMA_VERSION = 1
 
@@ -307,6 +307,7 @@ def shard_report_to_dict(shard: int, seed: int,
         "stats": _stats_to_dict(report.stats),
         "mst": [_window_to_dict(w) for w in report.mst.rows],
         "reports": [report_to_dict(r) for r in report.reports],
+        "lp_curve": report.lp_curves[0],
     }
 
 
@@ -324,19 +325,20 @@ def shard_report_from_dict(data: dict, offline) -> CampaignReport:
         # written before the static_prune knob never pruned.
         detectors=tuple(data.get("detectors", ("ift",))),
         static_prune=data.get("static_prune", False),
+        # Stores written before per-shard LP curves were persisted
+        # decode as an empty curve, keeping list positions per shard.
+        lp_curves=[list(data.get("lp_curve", ()))],
     )
+
+
+def checkpoint_filename(shard: int) -> str:
+    """The per-shard checkpoint file name (mirrors shard artifacts)."""
+    return f"shard-{shard:04d}.json"
 
 
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(text)
-    os.replace(temporary, path)
-
 
 class CampaignStore:
     """One campaign's run directory (create, append, resume, replay)."""
@@ -387,7 +389,7 @@ class CampaignStore:
             "shards": spec.shards,
         }
         store = cls(root, spec, meta)
-        _atomic_write(root / cls.SCENARIO_FILE, spec.to_json())
+        atomic_write_text(root / cls.SCENARIO_FILE, spec.to_json())
         store._write_meta()
         return store
 
@@ -432,7 +434,7 @@ class CampaignStore:
         return (Path(root) / CampaignStore.SCENARIO_FILE).exists()
 
     def _write_meta(self) -> None:
-        _atomic_write(
+        atomic_write_text(
             self.root / self.META_FILE,
             json.dumps(self.meta, indent=2) + "\n",
         )
@@ -511,7 +513,7 @@ class CampaignStore:
                 "seed": seed,
                 "curve": list(report.fuzz.coverage_curve),
             }) + "\n")
-        _atomic_write(
+        atomic_write_text(
             self._shard_path(shard),
             json.dumps(shard_report_to_dict(shard, seed, report)) + "\n",
         )
@@ -584,7 +586,7 @@ class CampaignStore:
             # Rewrite unconditionally: _read_jsonl already dropped any
             # torn trailing fragment, and leaving one in place would let
             # the re-run shard's first append concatenate onto it.
-            _atomic_write(
+            atomic_write_text(
                 self.root / name,
                 "".join(json.dumps(r) + "\n" for r in kept),
             )
@@ -631,31 +633,7 @@ class CampaignStore:
         return path
 
     def checkpoint_path(self, shard: int) -> Path:
-        return self.checkpoint_dir() / f"shard-{shard:04d}.json"
-
-    def write_checkpoint(self, shard: int, record: dict) -> None:
-        """Atomically persist one shard's mid-run checkpoint record."""
-        self.checkpoint_dir(create=True)
-        _atomic_write(self.checkpoint_path(shard),
-                      json.dumps(record) + "\n")
-
-    def read_checkpoint(self, shard: int) -> dict | None:
-        """The shard's last checkpoint, or None.
-
-        A missing, torn, or wrong-shard checkpoint degrades to None —
-        the shard restarts from iteration 0, which is always correct,
-        just slower.
-        """
-        path = self.checkpoint_path(shard)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if record.get("type") != "checkpoint" or record.get("shard") != shard:
-            return None
-        return record
+        return self.checkpoint_dir() / checkpoint_filename(shard)
 
     def clear_checkpoint(self, shard: int) -> None:
         """Drop a completed shard's checkpoint (its artifacts supersede it)."""
@@ -668,7 +646,7 @@ class CampaignStore:
     def finalize(self, report_text: str, degraded: bool = False) -> None:
         """Write the merged report and mark the campaign complete
         (``degraded`` when quarantined shards are missing from it)."""
-        _atomic_write(self.root / self.REPORT_FILE, report_text)
+        atomic_write_text(self.root / self.REPORT_FILE, report_text)
         self.set_status(STATUS_DEGRADED if degraded else STATUS_COMPLETE)
 
     def report_text(self) -> str:

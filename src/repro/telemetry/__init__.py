@@ -14,9 +14,8 @@ Layers:
   always measures).
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms with an
   additive ``merge()`` matching the ``OnlineStats`` discipline.
-* :mod:`repro.telemetry.export` — JSONL event log, Prometheus text,
-  the compact :class:`TelemetrySummary`, and the mini schema
-  validator.
+* :mod:`repro.telemetry.export` — JSONL event log, the compact
+  :class:`TelemetrySummary`, and the mini schema validator.
 * :mod:`repro.telemetry.heartbeat` — per-shard ``shard-<k>.jsonl``
   writers (iteration-cadenced heartbeats + final span/metric dump).
 * :mod:`repro.telemetry.runstats` — loads a run directory's telemetry
@@ -36,7 +35,6 @@ from repro.telemetry.export import (
     read_jsonl,
     records_to_metrics,
     records_to_spans,
-    render_prometheus,
     validate_records,
     write_jsonl,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "recorder",
     "records_to_metrics",
     "records_to_spans",
-    "render_prometheus",
     "render_stats",
     "rss_kb",
     "shard_filename",

@@ -1,15 +1,12 @@
-"""Telemetry wire formats: JSONL event log, Prometheus text, summary.
+"""Telemetry wire formats: JSONL event log and summary.
 
-Three export surfaces, all stdlib-only:
+Two export surfaces, both stdlib-only:
 
 * **JSONL event log** — one JSON object per line, discriminated by
   ``type`` (``meta`` / ``span`` / ``metric`` / ``heartbeat`` /
   ``complete``).  Readers drop a torn trailing line (a killed worker's
   partial write) exactly like the scenario store's shard logs, and
   raise :class:`TelemetryError` on mid-file corruption.
-* **Prometheus text exposition** — counters, gauges, and histogram
-  count/sum/min/max rendered in the ``# TYPE`` text format so a
-  scraper (or a human) can diff two runs with standard tooling.
 * **TelemetrySummary** — the compact JSON the report section and
   ``repro stats --format json`` share: wall clock, tracked seconds,
   phase rows, shard rows, merged metrics.
@@ -24,12 +21,12 @@ is pinned without a third-party jsonschema dependency.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricSet
 from repro.telemetry.spans import SpanRecord
+from repro.utils.atomic import atomic_write_text
 from repro.utils.text import ascii_table
 
 
@@ -113,23 +110,12 @@ def dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def append_jsonl(path: Path | str, records: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_line(record) + "\n")
-
-
 def write_jsonl(path: Path | str, records: list[dict]) -> None:
     """Atomically replace ``path`` with ``records`` (tmp + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dump_line(record) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "".join(dump_line(record) + "\n"
+                                    for record in records))
 
 
 def read_jsonl(path: Path | str) -> list[dict]:
@@ -158,46 +144,6 @@ def read_jsonl(path: Path | str) -> list[dict]:
                 f"corrupt telemetry log {path}: bad JSON on line {index + 1}"
             ) from None
     return records
-
-
-# -- Prometheus text exposition ---------------------------------------------
-
-def _prom_name(prefix: str, name: str) -> str:
-    cleaned = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return prefix + cleaned
-
-
-def _prom_value(value: float) -> str:
-    if value is None:
-        return "NaN"
-    as_float = float(value)
-    if as_float == int(as_float):
-        return str(int(as_float))
-    return repr(as_float)
-
-
-def render_prometheus(metrics: MetricSet, prefix: str = "repro_") -> str:
-    """Render a MetricSet in the Prometheus text exposition format."""
-    lines: list[str] = []
-    for name in sorted(metrics.counters):
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_prom_value(metrics.counters[name])}")
-    for name in sorted(metrics.gauges):
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_prom_value(metrics.gauges[name])}")
-    for name in sorted(metrics.histograms):
-        stat = metrics.histograms[name]
-        prom = _prom_name(prefix, name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {stat.count}")
-        lines.append(f"{prom}_sum {_prom_value(stat.total)}")
-        lines.append(f"{prom}_min {_prom_value(stat.minimum)}")
-        lines.append(f"{prom}_max {_prom_value(stat.maximum)}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- compact summary --------------------------------------------------------

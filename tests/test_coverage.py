@@ -110,17 +110,20 @@ class TestLpCoverage:
         assert all(tag == "lp" for tag, _ in items)
         assert len(items) == len(lp.covered(seed_result))
 
-    def test_toggle_counts_positive(self, offline, core, seed_result):
-        lp = LpCoverage(offline.pdlc, list(core.netlist.signals))
-        counts = lp.toggle_counts(seed_result)
-        assert counts
-        assert all(count > 0 for count in counts.values())
-
     def test_covered_subset_of_togglecounted(self, offline, core, seed_result):
-        lp = LpCoverage(offline.pdlc, list(core.netlist.signals))
+        """A covered PDLC's source toggled inside some speculative
+        window (the window views' toggled sets are the ground truth)."""
+        names = list(core.netlist.signals)
+        lp = LpCoverage(offline.pdlc, names)
         covered = lp.covered(seed_result)
-        counted = set(lp.toggle_counts(seed_result))
-        assert covered <= counted
+        assert covered
+        trace = seed_result.trace
+        toggled = {
+            names[signal]
+            for window in seed_result.windows
+            for signal in trace.window_view(window.start, window.end).toggled()
+        }
+        assert {offline.pdlc[i].source for i in covered} <= toggled
 
     def test_deterministic(self, offline, core):
         lp = LpCoverage(offline.pdlc, list(core.netlist.signals))

@@ -2,7 +2,7 @@
 
 Covers the executor semantics the campaign layers rely on:
 
-* results re-assemble by unit id into spec order whatever the
+* every result arrives paired with its own spec whatever the
   completion order (byte-identical merges are pinned end-to-end by
   the scenario/bench tests);
 * the worker fleet persists across calls and per-process statics are
@@ -20,9 +20,7 @@ import pytest
 from repro.harness import parallel
 from repro.harness.parallel import (
     ShardExecutionError,
-    imap_shard_units,
     imap_shards,
-    map_shards,
     shared_statics,
     shutdown_fleet,
 )
@@ -72,31 +70,23 @@ class TestDispatch:
         assert results == [(1, ("done", 1)), (2, ("done", 2)),
                            (3, ("done", 3))]
 
-    def test_map_shards_reassembles_by_unit_id(self):
-        # Unit 0 is the slowest; the fleet completes it last, but
-        # map_shards must still return spec order.
-        assert map_shards(_sleepy_worker, [0, 1, 2, 3], jobs=4) == \
-            [0, 10, 20, 30]
-
     def test_unordered_stream_pairs_spec_with_result(self):
-        seen = {}
-        for unit_id, spec, result in imap_shard_units(
-            _sleepy_worker, [0, 1, 2, 3], jobs=4
-        ):
-            seen[unit_id] = (spec, result)
-        assert seen == {0: (0, 0), 1: (1, 10), 2: (2, 20), 3: (3, 30)}
+        # Unit 0 is the slowest, so the fleet completes it out of spec
+        # order; keyed by spec, every result is still its own.
+        seen = dict(imap_shards(_sleepy_worker, [0, 1, 2, 3], jobs=4))
+        assert seen == {0: 0, 1: 10, 2: 20, 3: 30}
 
     def test_pool_persists_across_calls(self):
-        map_shards(_echo_worker, [1, 2], jobs=2)
+        dict(imap_shards(_echo_worker, [1, 2], jobs=2))
         first = parallel._FLEET
         assert first is not None
-        map_shards(_echo_worker, [3, 4], jobs=2)
+        dict(imap_shards(_echo_worker, [3, 4], jobs=2))
         assert parallel._FLEET is first  # same fleet object, no refork
 
     def test_pool_rebuilds_when_jobs_change(self):
-        map_shards(_echo_worker, [1, 2], jobs=2)
+        dict(imap_shards(_echo_worker, [1, 2], jobs=2))
         first = parallel._FLEET
-        map_shards(_echo_worker, [1, 2, 3], jobs=3)
+        dict(imap_shards(_echo_worker, [1, 2, 3], jobs=3))
         assert parallel._FLEET is not first
         assert parallel._FLEET.jobs == 3
 
@@ -105,19 +95,19 @@ class TestFailure:
     def test_worker_error_names_the_failing_shard(self):
         items = [_ShardLike(5), _ShardLike(7), _ShardLike(9)]
         with pytest.raises(ShardExecutionError) as excinfo:
-            map_shards(_failing_shardlike_worker, items, jobs=2)
+            dict(imap_shards(_failing_shardlike_worker, items, jobs=2))
         assert excinfo.value.shard == 7
         assert "injected shard failure" in excinfo.value.worker_traceback
         assert "shard 7" in str(excinfo.value)
 
     def test_pool_is_torn_down_promptly_on_failure(self):
         with pytest.raises(ShardExecutionError):
-            map_shards(_failing_worker, [0, 1, 2, 3], jobs=2)
+            dict(imap_shards(_failing_worker, [0, 1, 2, 3], jobs=2))
         assert parallel._FLEET is None  # shut down, not left joining
 
     def test_plain_items_fall_back_to_unit_index(self):
         with pytest.raises(ShardExecutionError) as excinfo:
-            map_shards(_failing_worker, [0, 1, 2, 3], jobs=2)
+            dict(imap_shards(_failing_worker, [0, 1, 2, 3], jobs=2))
         assert excinfo.value.shard == 3
         assert "boom on 3" in excinfo.value.worker_traceback
 
@@ -125,7 +115,7 @@ class TestFailure:
         """Inline, the worker's raw exception travels as the cause of
         the same ShardExecutionError the fleet raises."""
         with pytest.raises(ShardExecutionError) as excinfo:
-            map_shards(_failing_worker, [3], jobs=1)
+            dict(imap_shards(_failing_worker, [3], jobs=1))
         assert excinfo.value.shard == 0  # plain item: its unit index
         assert isinstance(excinfo.value.__cause__, RuntimeError)
         assert str(excinfo.value.__cause__) == "boom on 3"
@@ -133,9 +123,9 @@ class TestFailure:
 
     def test_next_call_after_failure_gets_a_fresh_pool(self):
         with pytest.raises(ShardExecutionError):
-            map_shards(_failing_worker, [2, 3], jobs=2)
-        assert map_shards(_echo_worker, [1, 2], jobs=2) == \
-            [("done", 1), ("done", 2)]
+            dict(imap_shards(_failing_worker, [2, 3], jobs=2))
+        assert dict(imap_shards(_echo_worker, [1, 2], jobs=2)) == \
+            {1: ("done", 1), 2: ("done", 2)}
 
 
 class TestSharedStatics:

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.boom import BoomConfig, VulnConfig
-from repro.harness.campaign import (
-    CoverageCurve,
-    mean_curve,
-    run_coverage_campaign,
-    run_detection_campaign,
-)
+from repro.harness.campaign import CoverageCurve, mean_curve
 from repro.harness.experiments import EXPERIMENTS, render_registry
 from repro.harness.plotting import render_coverage_figure
+from repro.scenarios import ScenarioSpec, run_scenario
 
 
 class TestCoverageCurve:
@@ -52,51 +48,32 @@ class TestCoverageCurve:
 
 
 class TestCampaignRunners:
+    """Figure 2's repeats are the shards of one scenario per arm."""
+
     @pytest.fixture(scope="class")
     def config(self):
         return BoomConfig.small(VulnConfig.all())
 
+    @staticmethod
+    def curves(coverage, iterations, shards):
+        spec = ScenarioSpec(name=f"curves-{coverage}", coverage=coverage,
+                            seed=5, iterations=iterations, shards=shards)
+        report = run_scenario(spec, minimize=False).report
+        return [
+            CoverageCurve(f"{coverage}#{shard}", curve)
+            for shard, curve in enumerate(report.lp_curves)
+        ]
+
     def test_coverage_campaign_repeats(self, config):
-        curves = run_coverage_campaign(config, "lp", iterations=6, repeats=2,
-                                       base_seed=5)
-        assert len(curves) == 2
+        assert ScenarioSpec(name="x").build_config() == config
+        curves = self.curves("lp", iterations=6, shards=2)
+        assert [curve.label for curve in curves] == ["lp#0", "lp#1"]
         assert all(len(curve.values) == 6 for curve in curves)
         assert all(curve.final() > 0 for curve in curves)
 
     def test_code_arm_also_reports_lp(self, config):
-        curves = run_coverage_campaign(config, "code", iterations=5,
-                                       repeats=1, base_seed=5)
-        assert curves[0].final() > 0  # observed LP coverage, not code items
-
-    def test_detection_campaign(self, config):
-        outcome = run_detection_campaign(
-            config, kinds=["spectre_v1"], iterations=40, seed=3,
-        )
-        assert outcome.detected("spectre_v1")
-        assert outcome.first_detection["spectre_v1"] >= 1
-
-    def test_detection_campaign_budget_exhaustion(self, config):
-        outcome = run_detection_campaign(
-            config, kinds=["mwait"], iterations=3, seed=3,
-        )
-        assert not outcome.detected("mwait")
-
-    def test_timed_campaign_respects_deadline(self, config):
-        import time
-
-        from repro.harness.campaign import run_timed_campaign
-
-        started = time.monotonic()
-        report = run_timed_campaign(config, seconds=2.0, seed=5)
-        elapsed = time.monotonic() - started
-        assert report.fuzz.iterations >= 1
-        assert elapsed < 10.0  # overshoot bounded by one evaluation
-
-    def test_timed_campaign_rejects_nonpositive(self, config):
-        from repro.harness.campaign import run_timed_campaign
-
-        with pytest.raises(ValueError):
-            run_timed_campaign(config, seconds=0)
+        [curve] = self.curves("code", iterations=5, shards=1)
+        assert curve.final() > 0  # observed LP coverage, not code items
 
 
 class TestRegistry:

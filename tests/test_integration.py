@@ -25,7 +25,7 @@ from repro.core.online import OnlinePhase
 from repro.core.specure import stop_on_kind
 from repro.fuzz.seeds import special_seeds
 from repro.fuzz.triggers import all_triggers
-from repro.harness.campaign import run_coverage_campaign
+from repro.scenarios import ScenarioSpec, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +64,20 @@ class TestFullPipeline:
             assert matching[0].root_causes, f"{kind} has no root cause"
 
     def test_lp_beats_code_on_short_run(self, vuln_config):
-        """The Figure 2 shape holds even at integration-test scale."""
-        lp = run_coverage_campaign(vuln_config, "lp", iterations=25,
-                                   repeats=1, base_seed=3)[0]
-        code = run_coverage_campaign(vuln_config, "code", iterations=25,
-                                     repeats=1, base_seed=3)[0]
-        assert lp.final() >= code.final()
+        """The Figure 2 shape holds even at integration-test scale, and
+        the per-shard curves do not depend on the worker count."""
+        lp_spec = ScenarioSpec(name="fig2-lp", coverage="lp", seed=3,
+                               iterations=25, shards=2)
+        code_spec = lp_spec.override(name="fig2-code", coverage="code",
+                                     shards=1)
+        assert lp_spec.build_config() == vuln_config
+        lp = run_scenario(lp_spec, jobs=1, minimize=False).report.lp_curves
+        assert run_scenario(lp_spec, jobs=2,
+                            minimize=False).report.lp_curves == lp
+        [code] = run_scenario(code_spec, jobs=1,
+                              minimize=False).report.lp_curves
+        assert len(lp[0]) == len(code) == 25
+        assert lp[0][-1] >= code[-1]
 
     def test_stop_on_kind_spectre(self, vuln_config):
         specure = Specure(vuln_config, seed=2, monitor_dcache=True)

@@ -8,7 +8,6 @@ from repro.detection.mst import MisspeculationTable
 from repro.detection.windows import DetectedWindow
 from repro.fuzz.fuzzer import CampaignResult, FuzzFinding
 from repro.fuzz.input import TestProgram
-from repro.harness.campaign import run_coverage_campaign
 from repro.harness.parallel import (
     merge_campaign_results,
     merge_reports,
@@ -190,14 +189,14 @@ class TestShardedCampaigns:
         assert len(set(streams.values())) == len(streams)
 
     def test_sharded_coverage_identical_to_serial(self, config):
-        serial = run_coverage_campaign(
-            config, "lp", iterations=5, repeats=2, base_seed=7
-        )
-        sharded = run_coverage_campaign(
-            config, "lp", iterations=5, repeats=2, base_seed=7, jobs=2
-        )
-        assert [(c.label, c.values) for c in serial] == \
-            [(c.label, c.values) for c in sharded]
+        spec = ScenarioSpec(name="lp-curves", seed=7, iterations=5,
+                            shards=2)
+        assert spec.build_config() == config
+        serial = run_scenario(spec, jobs=1, minimize=False).report
+        sharded = run_scenario(spec, jobs=2, minimize=False).report
+        assert len(serial.lp_curves) == 2
+        assert all(len(curve) == 5 for curve in serial.lp_curves)
+        assert serial.lp_curves == sharded.lp_curves
 
     def test_sharded_campaign_merges_into_one_report(self):
         report = sharded_report(seed=11, iterations=4, shards=2, jobs=2)

@@ -31,7 +31,7 @@ from repro.harness.parallel import (
     RetryPolicy,
     ShardExecutionError,
     UnitFailure,
-    imap_shard_units,
+    imap_shards,
     shutdown_fleet,
 )
 
@@ -106,20 +106,19 @@ class TestInlineResilient:
 
     def test_retry_succeeds_after_transient_failure(self, tmp_path):
         policy = RetryPolicy(max_retries=2, on_exhaust="fail")
-        results = list(imap_shard_units(
+        results = list(imap_shards(
             _flaky_raise_worker, [str(tmp_path / "marker")], jobs=1,
             policy=policy))
-        assert results == [(0, str(tmp_path / "marker"), "recovered")]
+        assert results == [(str(tmp_path / "marker"), "recovered")]
 
     def test_degrade_yields_unit_failure_and_continues(self, tmp_path):
         policy = RetryPolicy(max_retries=1, on_exhaust="degrade")
         specs = [str(tmp_path / "ok-marker"), "always-bad"]
         Path(specs[0]).write_text("x")  # first unit succeeds immediately
-        seen = {unit_id: result for unit_id, _spec, result
-                in imap_shard_units(_sabotagable_worker, specs, jobs=1,
-                                    policy=policy)}
-        assert seen[0] == "recovered"
-        failure = seen[1]
+        seen = dict(imap_shards(_sabotagable_worker, specs, jobs=1,
+                                policy=policy))
+        assert seen[specs[0]] == "recovered"
+        failure = seen["always-bad"]
         assert isinstance(failure, UnitFailure)
         assert failure.attempts == 2  # 1 try + 1 retry
         assert failure.kind == "exception"
@@ -128,8 +127,8 @@ class TestInlineResilient:
     def test_fail_mode_raises_shard_execution_error(self):
         policy = RetryPolicy(max_retries=0, on_exhaust="fail")
         with pytest.raises(ShardExecutionError) as excinfo:
-            list(imap_shard_units(_raise_worker, ["only"], jobs=1,
-                                  policy=policy))
+            list(imap_shards(_raise_worker, ["only"], jobs=1,
+                             policy=policy))
         assert excinfo.value.shard == 0  # plain items fall back to unit id
         assert "injected unit failure" in excinfo.value.worker_traceback
 
@@ -147,15 +146,15 @@ class TestFleet:
         """kill -9 mid-campaign: the dispatcher must respawn just that
         worker and re-run its unit to the byte-identical result."""
         policy = RetryPolicy(max_retries=2, on_exhaust="fail", isolate=True)
-        results = list(imap_shard_units(
+        results = list(imap_shards(
             _flaky_kill_worker, [str(tmp_path / "marker")], jobs=1,
             policy=policy))
-        assert results == [(0, str(tmp_path / "marker"), "recovered")]
+        assert results == [(str(tmp_path / "marker"), "recovered")]
 
     def test_persistent_kills_exhaust_into_unit_failure(self):
         policy = RetryPolicy(max_retries=1, on_exhaust="degrade",
                              isolate=True)
-        [(unit_id, _spec, failure)] = list(imap_shard_units(
+        [(_spec, failure)] = list(imap_shards(
             _always_kill_worker, ["doomed"], jobs=1, policy=policy))
         assert isinstance(failure, UnitFailure)
         assert failure.attempts == 2
@@ -164,17 +163,16 @@ class TestFleet:
     def test_fail_mode_tears_the_fleet_down(self):
         policy = RetryPolicy(max_retries=0, on_exhaust="fail", isolate=True)
         with pytest.raises(ShardExecutionError):
-            list(imap_shard_units(_always_kill_worker, ["doomed"], jobs=1,
-                                  policy=policy))
+            list(imap_shards(_always_kill_worker, ["doomed"], jobs=1,
+                             policy=policy))
         assert parallel._FLEET is None
 
     def test_watchdog_times_out_hung_unit_others_complete(self):
         policy = RetryPolicy(max_retries=0, unit_timeout_s=0.5,
                              on_exhaust="degrade", isolate=True)
         started = time.monotonic()
-        seen = {spec: result for _unit_id, spec, result
-                in imap_shard_units(_hang_worker, ["hang", "fine"], jobs=2,
-                                    policy=policy)}
+        seen = dict(imap_shards(_hang_worker, ["hang", "fine"], jobs=2,
+                                policy=policy))
         assert time.monotonic() - started < 30.0  # not the 60s sleep
         assert seen["fine"] == ("ok", "fine")
         failure = seen["hang"]

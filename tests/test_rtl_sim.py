@@ -32,10 +32,13 @@ class TestListing1Behaviour:
         sim = make_sim(LISTING_1, top="top")
         trace = sim.run(4, stimulus=[{"i": 1}, {"i": 0}, {"i": 0}, {"i": 0}])
         assert trace.final_cycle == 3
-        assert trace.value_of("top.df1.q", 0) == 1
-        assert trace.value_of("top.df2.q", 1) == 1
-        assert trace.value_of("top.o", 1) == 1
-        assert trace.value_of("top.o", 2) == 0
+        def value(name, cycle):
+            return trace.snapshot(cycle)[trace.index_of(name)]
+
+        assert value("top.df1.q", 0) == 1
+        assert value("top.df2.q", 1) == 1
+        assert value("top.o", 1) == 1
+        assert value("top.o", 2) == 0
 
 
     def test_recorder_matches_a_value_diff(self):

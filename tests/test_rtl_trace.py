@@ -28,11 +28,6 @@ class TestSnapshots:
         assert trace.snapshot(2) == [2, 11, 100]
         assert trace.snapshot(6) == [2, 11, 0]
 
-    def test_value_of(self):
-        trace = make_trace()
-        assert trace.value_of("b", 1) == 10
-        assert trace.value_of("b", 2) == 11
-
     def test_diff_window(self):
         trace = make_trace()
         delta = trace.diff(0, 5)
@@ -43,19 +38,22 @@ class TestSnapshots:
 
 
 class TestEvents:
-    def test_events_in_range(self):
+    def test_window_view_events_by_range(self):
         trace = make_trace()
-        assert [e.cycle for e in trace.events_in(1, 4)] == [2, 2]
-        assert len(trace.events_in(0, 6)) == 4
-
-    def test_toggled_signals(self):
-        trace = make_trace()
-        assert trace.toggled_signals(2, 2) == {0, 1}
-        assert trace.toggled_signals(3, 4) == set()
+        assert [e.cycle for e in trace.window_view(1, 4).events] == [2, 2]
+        assert len(trace.window_view(0, 6)) == 4
 
     def test_toggle_counts(self):
         trace = make_trace()
-        assert trace.toggle_counts(0, 6) == {0: 2, 1: 1, 2: 1}
+        counts = {}
+        for event in trace.window_view(0, 6).events:
+            counts[event.signal] = counts.get(event.signal, 0) + 1
+        assert counts == {0: 2, 1: 1, 2: 1}
+
+    def test_window_view_toggled(self):
+        trace = make_trace()
+        assert trace.window_view(2, 2).toggled() == {0, 1}
+        assert trace.window_view(3, 4).toggled() == set()
 
     def test_out_of_order_rejected(self):
         trace = make_trace()
@@ -78,17 +76,6 @@ def naive_snapshot(trace, cycle):
             break
         state[event.signal] = event.new
     return state
-
-
-def naive_value_of(trace, name, cycle):
-    index = trace.index_of(name)
-    value = trace.initial[index]
-    for event in trace.events:
-        if event.cycle > cycle:
-            break
-        if event.signal == index:
-            value = event.new
-    return value
 
 
 def random_trace(seed, signals=5, events=200, max_cycle=60):
@@ -126,14 +113,6 @@ class TestIndexedQueriesMatchNaiveScan:
             assert trace.snapshot(cycle) == naive_snapshot(trace, cycle)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_value_of_matches_naive(self, seed):
-        trace = random_trace(seed)
-        for name in trace.signal_names:
-            for cycle in range(-1, trace.final_cycle + 2):
-                assert trace.value_of(name, cycle) == \
-                    naive_value_of(trace, name, cycle)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_view_matches_eventwise_derivations(self, seed):
         trace = random_trace(seed)
         for start in range(0, trace.final_cycle, 5):
@@ -142,10 +121,6 @@ class TestIndexedQueriesMatchNaiveScan:
                 events = [e for e in trace.events if start <= e.cycle <= end]
                 assert view.events == events
                 assert view.toggled() == {e.signal for e in events}
-                counts = {}
-                for e in events:
-                    counts[e.signal] = counts.get(e.signal, 0) + 1
-                assert view.counts() == counts
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_slice_diff_matches_snapshot_diff(self, seed):
@@ -160,11 +135,12 @@ class TestIndexedQueriesMatchNaiveScan:
                 }
                 assert trace.diff(start, end) == expected
 
-    def test_events_for_signals_preserves_stream_order(self):
+    def test_signal_event_positions_preserve_stream_order(self):
         trace = random_trace(7)
         subset = {0, 2, 4}
-        merged = trace.events_for_signals(subset)
-        expected = [e for e in trace.events if e.signal in subset]
+        events = trace.events
+        merged = [events[p] for p in trace.signal_event_positions(subset)]
+        expected = [e for e in events if e.signal in subset]
         assert merged == expected
 
     def test_indexed_snapshot_examines_fewer_events(self):

@@ -71,6 +71,12 @@ class TestShardReportRoundTrip:
         assert [vars(w) for w in loaded.mst.rows] == \
             [vars(w) for w in report.mst.rows]
         assert loaded.reports == report.reports
+        assert loaded.lp_curves == report.lp_curves
+        # Artifacts written before curves were persisted decode as one
+        # empty curve, so list positions still match shards.
+        del payload["lp_curve"]
+        assert shard_report_from_dict(payload, report.offline).lp_curves \
+            == [[]]
 
 
 class TestStoreLayout:
@@ -123,6 +129,29 @@ class TestResumeDeterminism:
         assert outcome.executed_shards == [1, 2]
         assert (interrupted_root / "report.txt").read_bytes() == \
             (full_root / "report.txt").read_bytes()
+
+    def test_resumed_lp_curves_match_uninterrupted(self, tmp_path):
+        """Figure 2's per-shard curves survive the store: a resumed
+        campaign reloads shard 0's curve from its artifact and matches
+        an uninterrupted run, one non-empty curve per shard."""
+        spec = get_scenario("code-coverage-race").override(
+            iterations=4, shards=2)
+        full = run_scenario(spec, run_dir=tmp_path / "full",
+                            minimize=False).report.lp_curves
+        assert len(full) == 2
+        assert all(len(curve) == 4 and curve[-1] > 0 for curve in full)
+
+        def interrupt_after_first(shard, _report):
+            if shard == 0:
+                raise KeyboardInterrupt
+
+        root = tmp_path / "interrupted"
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(spec, run_dir=root, minimize=False,
+                         on_shard=interrupt_after_first)
+        outcome = resume_scenario(root, minimize=False)
+        assert outcome.resumed_shards == [0]
+        assert outcome.report.lp_curves == full
 
     def test_resume_prunes_partial_jsonl(self, sweep_spec, tmp_path):
         root = tmp_path / "crashed"

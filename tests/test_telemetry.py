@@ -30,7 +30,6 @@ from repro.telemetry import (
     metric_records,
     read_jsonl,
     records_to_metrics,
-    render_prometheus,
     shard_filename,
     summarize,
     validate_records,
@@ -170,18 +169,6 @@ class TestMetrics:
 
 
 class TestExport:
-    def test_prometheus_rendering(self):
-        metrics = MetricSet()
-        metrics.count("fuzz.iterations", 60)
-        metrics.gauge("lp.coverage_pct", 87.5)
-        metrics.observe("minimize.probe", 0.25)
-        text = render_prometheus(metrics)
-        assert "# TYPE repro_fuzz_iterations counter" in text
-        assert "repro_fuzz_iterations 60" in text
-        assert "repro_lp_coverage_pct 87.5" in text
-        assert "repro_minimize_probe_count 1" in text
-        assert "repro_minimize_probe_sum 0.25" in text
-
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl"
         records = [meta_record("campaign", scenario="quickstart"),

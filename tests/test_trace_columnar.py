@@ -1,8 +1,8 @@
 """Columnar trace equivalence: SignalTrace vs the retained reference.
 
 :class:`repro.rtl.trace.SignalTrace` stores events in four typed-array
-columns and answers queries through bisects, per-signal indexes, a
-snapshot resume memo, and cached window views.
+columns and answers queries through bisects, a snapshot resume memo,
+and cached window views.
 :class:`repro.rtl.trace_reference.ReferenceSignalTrace` is the retained
 executable specification: the seed's plain event list with linear-scan
 queries.  These tests drive *random record/query interleavings* through
@@ -36,40 +36,41 @@ def build_pair(signals=6):
             ReferenceSignalTrace(names, list(initial)))
 
 
+def reference_window(reference, start, end):
+    """The reference's window events: a linear scan of the event list."""
+    return [e for e in reference.events if start <= e.cycle <= end]
+
+
+def assert_window_equivalent(columnar, reference, start, end):
+    view = columnar.window_view(start, end)
+    events = reference_window(reference, start, end)
+    assert view.events == events
+    assert view.toggled() == {e.signal for e in events}
+
+
 def assert_equivalent(columnar, reference, cycle_range):
     """Every query type must agree at every cycle of ``cycle_range``."""
     assert len(columnar) == len(reference)
     assert columnar.events == reference.events
     for cycle in cycle_range:
         assert columnar.snapshot(cycle) == reference.snapshot(cycle)
-    for name in columnar.signal_names:
-        for cycle in cycle_range:
-            assert columnar.value_of(name, cycle) == \
-                reference.value_of(name, cycle)
     for start in cycle_range:
         for end in cycle_range:
             if end < start:
                 continue
-            assert columnar.events_in(start, end) == \
-                reference.events_in(start, end)
-            assert columnar.toggled_signals(start, end) == \
-                reference.toggled_signals(start, end)
-            assert columnar.toggle_counts(start, end) == \
-                reference.toggle_counts(start, end)
+            assert_window_equivalent(columnar, reference, start, end)
             assert columnar.diff(start, end) == reference.diff(start, end)
     subsets = [{0}, {1, 3}, set(range(len(columnar.signal_names)))]
     for subset in subsets:
-        assert columnar.events_for_signals(subset) == \
-            reference.events_for_signals(subset)
         assert list(columnar.signal_event_positions(subset)) == \
             list(reference.signal_event_positions(subset))
 
 
 class TestRandomInterleavings:
     """Random record/query interleavings: queries run *between* appends,
-    so every lazily-built index and memo is exercised against later
-    invalidation (stale window views, extended per-signal index,
-    snapshot resume across appended suffixes)."""
+    so every lazily-built cache and memo is exercised against later
+    invalidation (stale window views, snapshot resume across appended
+    suffixes)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_interleaved_record_and_query(self, seed):
@@ -95,19 +96,13 @@ class TestRandomInterleavings:
             elif action < 0.85:  # window queries over a random range
                 start = rng.randrange(0, cycle + 1)
                 end = start + rng.randrange(0, 6)
-                assert columnar.toggled_signals(start, end) == \
-                    reference.toggled_signals(start, end)
+                assert_window_equivalent(columnar, reference, start, end)
                 assert columnar.diff(start, end) == \
                     reference.diff(start, end)
-            elif action < 0.95:  # per-signal queries
-                name = rng.choice(columnar.signal_names)
-                at = rng.randrange(-1, cycle + 2)
-                assert columnar.value_of(name, at) == \
-                    reference.value_of(name, at)
-            else:  # signal-subset replay
+            else:  # signal-subset scan
                 subset = {rng.randrange(signals) for _ in range(2)}
-                assert columnar.events_for_signals(subset) == \
-                    reference.events_for_signals(subset)
+                assert columnar.signal_event_positions(subset) == \
+                    reference.signal_event_positions(subset)
         columnar.close(cycle + 1)
         reference.close(cycle + 1)
         assert columnar.final_cycle == reference.final_cycle
@@ -168,14 +163,14 @@ class TestColumnarSpecifics:
 
     def test_appender_fast_path_matches_record(self):
         """The TraceWriter fast path (bound column appends + close) and
-        record_unchecked must produce indistinguishable traces."""
+        record must produce indistinguishable traces."""
         via_record, _ = build_pair(signals=2)
         via_appenders, _ = build_pair(signals=2)
         events = [(0, 0, via_record.initial[0], 9),
                   (1, 1, via_record.initial[1], _M64),
                   (1, 0, 9, 0)]
         for event in events:
-            via_record.record_unchecked(*event)
+            via_record.record(*event)
         append_cycle, append_signal, append_old, append_new = \
             via_appenders.appenders()
         for cycle, signal, old, new in events:
@@ -192,7 +187,7 @@ class TestColumnarSpecifics:
     def test_no_reference_cycle_between_trace_and_views(self):
         """Views must not hold the trace: a dropped trace (plus its
         cached views) frees by refcount alone, with the cyclic collector
-        disabled — the property the campaign loop's gc pause relies on."""
+        disabled — so a campaign's per-run artifacts never wait on it."""
         import gc
         import weakref
 
